@@ -1,0 +1,42 @@
+"""Golden verdicts of the bundled corpus at fixed seeds.
+
+``data/golden_verdicts.json`` holds ``(k, m, outcome)`` for all 36
+corpus relations at seeds 0-4, and for each fault target at rates 0.2
+and 1.0 the relations that are not valid.  The table was recorded from
+the per-step engine and checked against ``prccsl.oracle``; any engine
+rewrite must reproduce it exactly.
+"""
+
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from prccsl import AVParams, FaultSpec, check_relations, elaborate, parse, simulate, simulate_faulty
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def relations():
+    text = resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text()
+    return elaborate(parse(text))[1]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN["verdicts"]))
+def test_corpus_verdicts_match_golden(relations, seed):
+    trace = simulate(AVParams(seed=int(seed), steps=GOLDEN["steps"]))
+    got = {r.id: [r.k, r.m, r.outcome] for r in check_relations(relations, trace)}
+    assert got == GOLDEN["verdicts"][seed]
+
+
+@pytest.mark.parametrize(
+    "target,rate",
+    [(target, rate) for target, rates in sorted(GOLDEN["faults"].items()) for rate in rates],
+)
+def test_fault_matrix_matches_golden(relations, target, rate):
+    params = AVParams(seed=GOLDEN["fault_seed"], steps=GOLDEN["steps"])
+    trace = simulate_faulty(params, FaultSpec(target, float(rate)))
+    not_valid = [r.id for r in check_relations(relations, trace) if r.outcome != "valid"]
+    assert not_valid == GOLDEN["faults"][target][rate]
