@@ -1,58 +1,28 @@
 """Probabilistic clock-constraint checking over discrete tick traces."""
 
-from .clocks import UNIVERSAL_CLOCK, HistoryTracker, Trace, trace_new
+from .clocks import UNIVERSAL_CLOCK, Trace
 from .errors import (
     DeclarationError,
     ExpressionError,
     FaultTargetError,
     PrccslError,
-    SpecError,
     SpecSyntaxError,
     SpecValidationError,
     TraceFormatError,
     UnknownClockError,
 )
-from .exprs import (
-    ClockExpr,
-    DelayFor,
-    Inf,
-    PeriodicOn,
-    Ref,
-    Sup,
-    clocks_of,
-    delay_for,
-    eval_expr,
-    inf_clock,
-    periodic_on,
-    sup_clock,
-)
+from .exprs import DelayFor, Inf, PeriodicOn, Ref, Sup, clocks_of, eval_expr
 from .relations import (
     CheckResult,
-    MonitorState,
     RelationError,
     RelationKind,
     RelationSpec,
     Verdict,
     check_relations,
-    finalize,
-    observe_causality,
-    observe_coincidence,
-    observe_exclusion,
-    observe_precedence,
-    observe_subclock,
 )
 from .report import build_report, render_text
-from .simulator import (
-    ALPHABET,
-    FAULT_TARGETS,
-    AVParams,
-    ControllerState,
-    FaultSpec,
-    simulate,
-    simulate_faulty,
-)
+from .simulator import ALPHABET, FAULT_TARGETS, AVParams, FaultSpec, simulate, simulate_faulty
 from .speclang import (
-    SPEC_FILE_EXTENSION,
     ClockDecl,
     Definition,
     RelationStmt,
@@ -71,19 +41,15 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "UNIVERSAL_CLOCK",
-    "HistoryTracker",
     "Trace",
-    "trace_new",
     "PrccslError",
     "DeclarationError",
     "UnknownClockError",
     "ExpressionError",
-    "SpecError",
     "SpecSyntaxError",
     "SpecValidationError",
     "TraceFormatError",
     "FaultTargetError",
-    "ClockExpr",
     "Ref",
     "PeriodicOn",
     "DelayFor",
@@ -91,33 +57,20 @@ __all__ = [
     "Sup",
     "clocks_of",
     "eval_expr",
-    "periodic_on",
-    "delay_for",
-    "inf_clock",
-    "sup_clock",
     "RelationKind",
     "RelationSpec",
-    "MonitorState",
     "Verdict",
     "RelationError",
     "CheckResult",
-    "observe_subclock",
-    "observe_coincidence",
-    "observe_exclusion",
-    "observe_causality",
-    "observe_precedence",
-    "finalize",
     "check_relations",
     "build_report",
     "render_text",
     "ALPHABET",
     "AVParams",
     "FaultSpec",
-    "ControllerState",
     "FAULT_TARGETS",
     "simulate",
     "simulate_faulty",
-    "SPEC_FILE_EXTENSION",
     "ClockDecl",
     "Definition",
     "RelationStmt",

@@ -1,9 +1,14 @@
-"""Logical clocks, steps, traces, and tick/history bookkeeping.
+"""Logical clocks, steps, and traces stored as date lists.
 
 A logical clock is a named event source.  Time advances in discrete
 steps of one millisecond; at each step a clock either ticks (t_c(i) = 1)
 or stays silent.  The history h_c(i) counts the ticks of c at steps
 strictly before i, so h_c(0) = 0 and h_c(i+1) = h_c(i) + t_c(i).
+
+A trace stores each clock as its date list, the sorted steps at which
+it ticks.  The history at a clock's j-th tick (counting from 0) is then
+j, and h_c(i) is the number of dates below i, so expressions and
+relations work on these lists without visiting every step.
 
 The universal clock ``ms`` ticks at every step.  Traces may carry it as
 an ordinary column (the simulator does); consumers that need it when it
@@ -13,17 +18,12 @@ is absent can synthesize it, since its tick function is fixed.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Sequence
+from bisect import bisect_left
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DeclarationError, UnknownClockError
 
-__all__ = [
-    "UNIVERSAL_CLOCK",
-    "validate_clock_name",
-    "Trace",
-    "trace_new",
-    "HistoryTracker",
-]
+__all__ = ["UNIVERSAL_CLOCK", "validate_clock_name", "Trace"]
 
 UNIVERSAL_CLOCK = "ms"
 
@@ -44,34 +44,38 @@ def validate_clock_name(name: str) -> str:
 class Trace:
     """A finite tick record for a fixed, ordered clock alphabet.
 
-    Storage is sparse (one frozenset of ticking clocks per step) with a
-    dense boolean view available per clock.  A trace is built by
-    appending steps and is treated as read-only afterwards; instances
-    are safe to share once fully built.
+    Storage is one sorted list of tick steps per clock plus the length,
+    so memory grows with the number of ticks, not with steps x clocks.
+    A trace is built by appending steps or from date lists and is
+    treated as read-only afterwards; instances are safe to share once
+    fully built.
     """
 
-    __slots__ = ("_clocks", "_index", "_steps")
+    __slots__ = ("_clocks", "_dates", "_length")
 
     def __init__(self, clocks: Sequence[str]):
-        seen: dict[str, int] = {}
-        for pos, name in enumerate(clocks):
+        dates: dict[str, list[int]] = {}
+        for name in clocks:
             validate_clock_name(name)
-            if name in seen:
+            if name in dates:
                 raise DeclarationError(f"duplicate clock {name!r}")
-            seen[name] = pos
+            dates[name] = []
         self._clocks: tuple[str, ...] = tuple(clocks)
-        self._index = seen
-        self._steps: list[frozenset[str]] = []
+        self._dates = dates
+        self._length = 0
 
     # -- construction -------------------------------------------------
 
     def append(self, ticks: Iterable[str]) -> None:
         """Add one step in which exactly the clocks in ``ticks`` tick."""
-        tick_set = frozenset(ticks)
-        for name in tick_set:
-            if name not in self._index:
-                raise UnknownClockError(f"undeclared clock {name!r}")
-        self._steps.append(tick_set)
+        names = set(ticks)
+        unknown = names.difference(self._dates)
+        if unknown:
+            raise UnknownClockError(f"undeclared clock {min(unknown)!r}")
+        step = self._length
+        for name in names:
+            self._dates[name].append(step)
+        self._length = step + 1
 
     @classmethod
     def from_dates(
@@ -79,18 +83,17 @@ class Trace:
     ) -> "Trace":
         """Build a trace of ``length`` steps from per-clock tick-step lists.
 
-        Dates outside [0, length) are ignored, so schedules may be
-        generated without worrying about the trace boundary.
+        Dates outside [0, length) are ignored and repeated dates count
+        once, so schedules may be generated in any order without
+        worrying about the trace boundary.
         """
         trace = cls(clocks)
-        per_step: list[set[str]] = [set() for _ in range(length)]
         for name, steps in dates.items():
-            if name not in trace._index:
+            if name not in trace._dates:
                 raise UnknownClockError(f"undeclared clock {name!r}")
-            for step in steps:
-                if 0 <= step < length:
-                    per_step[step].add(name)
-        trace._steps = [frozenset(s) for s in per_step]
+            kept = sorted(set(steps))
+            trace._dates[name] = kept[bisect_left(kept, 0):bisect_left(kept, length)]
+        trace._length = length
         return trace
 
     # -- queries ------------------------------------------------------
@@ -100,96 +103,42 @@ class Trace:
         return self._clocks
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return self._length
 
     def __contains__(self, clock: str) -> bool:
-        return clock in self._index
+        return clock in self._dates
+
+    def dates(self, clock: str) -> list[int]:
+        """Sorted list of the steps at which ``clock`` ticks.
+
+        The list is the trace's own storage: read it, do not modify it.
+        """
+        try:
+            return self._dates[clock]
+        except KeyError:
+            raise UnknownClockError(f"undeclared clock {clock!r}") from None
 
     def tick_at(self, clock: str, step: int) -> bool:
         """Return t_c(step) for a declared clock and 0 <= step < len."""
-        self._check_clock(clock)
-        if not 0 <= step < len(self._steps):
-            raise IndexError(
-                f"step {step} out of range for trace of length {len(self._steps)}"
-            )
-        return clock in self._steps[step]
+        dates = self.dates(clock)
+        if not 0 <= step < self._length:
+            raise IndexError(f"step {step} out of range for trace of length {self._length}")
+        pos = bisect_left(dates, step)
+        return pos < len(dates) and dates[pos] == step
 
     def history_at(self, clock: str, step: int) -> int:
         """Return h_c(step): ticks of ``clock`` strictly before ``step``.
 
         Defined for 0 <= step <= len (one past the final step).
         """
-        self._check_clock(clock)
-        if not 0 <= step <= len(self._steps):
-            raise IndexError(
-                f"step {step} out of range for trace of length {len(self._steps)}"
-            )
-        return sum(1 for ticks in self._steps[:step] if clock in ticks)
-
-    def tick_set(self, step: int) -> frozenset[str]:
-        return self._steps[step]
-
-    def tick_sets(self) -> Iterator[frozenset[str]]:
-        return iter(self._steps)
+        dates = self.dates(clock)
+        if not 0 <= step <= self._length:
+            raise IndexError(f"step {step} out of range for trace of length {self._length}")
+        return bisect_left(dates, step)
 
     def column(self, clock: str) -> list[bool]:
-        """Dense boolean view of one clock, agreeing with the sparse sets."""
-        self._check_clock(clock)
-        return [clock in ticks for ticks in self._steps]
-
-    def dates(self, clock: str) -> list[int]:
-        """Sorted list of the steps at which ``clock`` ticks."""
-        self._check_clock(clock)
-        return [i for i, ticks in enumerate(self._steps) if clock in ticks]
-
-    def _check_clock(self, clock: str) -> None:
-        if clock not in self._index:
-            raise UnknownClockError(f"undeclared clock {clock!r}")
-
-
-def trace_new(clocks: Sequence[str]) -> Trace:
-    """Create an empty trace (length 0) over unique, valid clock names."""
-    return Trace(clocks)
-
-
-class HistoryTracker:
-    """Streaming form of the history recurrence.
-
-    Starts at step 0 with every counter at 0; each :meth:`advance` call
-    consumes one step's tick set and moves to the next step.  Counters
-    therefore always hold h_c(i) for the current step i.  Single-owner
-    sequential object; not thread-safe.
-    """
-
-    __slots__ = ("_counts", "_step")
-
-    def __init__(self, clocks: Sequence[str]):
-        seen = set()
-        for name in clocks:
-            validate_clock_name(name)
-            if name in seen:
-                raise DeclarationError(f"duplicate clock {name!r}")
-            seen.add(name)
-        self._counts: dict[str, int] = {name: 0 for name in clocks}
-        self._step = 0
-
-    @property
-    def step(self) -> int:
-        return self._step
-
-    def history(self, clock: str) -> int:
-        try:
-            return self._counts[clock]
-        except KeyError:
-            raise UnknownClockError(f"undeclared clock {clock!r}") from None
-
-    def advance(self, tick_set: Iterable[str]) -> "HistoryTracker":
-        """Consume one step; each ticked clock's counter grows by one."""
-        ticks = set(tick_set)
-        for name in ticks:
-            if name not in self._counts:
-                raise UnknownClockError(f"undeclared clock {name!r}")
-        for name in ticks:
-            self._counts[name] += 1
-        self._step += 1
-        return self
+        """Dense boolean view of one clock, one entry per step."""
+        column = [False] * self._length
+        for step in self.dates(clock):
+            column[step] = True
+        return column

@@ -1,4 +1,4 @@
-"""Clock expressions and their streaming evaluators.
+"""Clock expressions and their evaluation over date lists.
 
 Expressions derive new clocks from existing ones:
 
@@ -9,21 +9,20 @@ Expressions derive new clocks from existing ones:
 * ``Inf(a, b)``             the slowest clock faster than both operands
 * ``Sup(a, b)``             the fastest clock slower than both operands
 
-All evaluators are pure stream transformers over boolean tick columns,
-so derived clocks are deterministic functions of the input trace.
+A derived clock is computed as its date list, the sorted steps at which
+it ticks, from the date lists of its operands; no step is visited on
+its own.  Evaluation is a pure function of the input trace.
 """
 
 from __future__ import annotations
 
-import re
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Union
+from itertools import repeat
+from typing import Union
 
-from .clocks import Trace
-from .errors import ExpressionError
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .clocks import Trace, validate_clock_name
+from .errors import DeclarationError, ExpressionError
 
 __all__ = [
     "ClockExpr",
@@ -33,12 +32,7 @@ __all__ = [
     "Inf",
     "Sup",
     "clocks_of",
-    "DelayQueue",
     "eval_expr",
-    "periodic_on",
-    "delay_for",
-    "inf_clock",
-    "sup_clock",
 ]
 
 
@@ -47,8 +41,10 @@ class Ref:
     clock: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.clock, str) or not _NAME_RE.match(self.clock):
-            raise ExpressionError(f"invalid clock name {self.clock!r}")
+        try:
+            validate_clock_name(self.clock)
+        except DeclarationError as exc:
+            raise ExpressionError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -117,147 +113,67 @@ def clocks_of(expr: ClockExpr) -> frozenset[str]:
     raise ExpressionError(f"not a clock expression: {expr!r}")
 
 
-class DelayQueue:
-    """Pending delays of one DelayFor node, in FIFO order.
-
-    Conceptually each base tick enqueues a countdown of d that every
-    later ref tick decrements, firing at zero.  Stored here as absolute
-    targets (index of the firing ref tick), which advances in O(1).
-    If several countdowns reach zero at the same ref tick they are all
-    dequeued but the derived clock, being boolean per step, ticks once.
-    """
-
-    __slots__ = ("_delay", "_refs_seen", "_targets")
-
-    def __init__(self, delay: int):
-        if delay < 1:
-            raise ExpressionError(f"delay must be a positive integer, got {delay!r}")
-        self._delay = delay
-        self._refs_seen = 0
-        self._targets: deque[int] = deque()
-
-    def __len__(self) -> int:
-        return len(self._targets)
-
-    def advance(self, base_tick: bool, ref_tick: bool) -> bool:
-        """Consume one step; return whether the derived clock ticks.
-
-        A ref tick coincident with a base tick does not count toward
-        that base tick's delay: the new element is enqueued after the
-        expiry check, with a strictly future target.
-        """
-        fired = False
-        if ref_tick:
-            self._refs_seen += 1
-            while self._targets and self._targets[0] == self._refs_seen:
-                self._targets.popleft()
-                fired = True
-        if base_tick:
-            self._targets.append(self._refs_seen + self._delay)
-        return fired
-
-
-def periodic_on(base: Sequence[bool], period: int) -> list[bool]:
-    """Filter ``base`` down to its 1st, (p+1)-th, (2p+1)-th ... ticks.
-
-    The result ticks at step i iff base ticks there and h_base(i) is a
-    multiple of p; with base = ms and p = 50 that is steps 0, 50, 100...
-    """
-    if period < 1:
-        raise ExpressionError(f"period must be a positive integer, got {period!r}")
-    out = []
-    h = 0
-    for t in base:
-        out.append(bool(t) and h % period == 0)
-        h += t
-    return out
-
-
-def delay_for(base: Sequence[bool], delay: int, ref: Sequence[bool]) -> list[bool]:
-    """Emit each base tick again at the d-th strictly later ref tick.
-
-    The result is a subclock of ref.  Delays still pending when the
-    trace ends are discarded.
-    """
-    if len(base) != len(ref):
-        raise ExpressionError(f"operand length mismatch: {len(base)} vs {len(ref)}")
-    queue = DelayQueue(delay)
-    return [queue.advance(bool(b), bool(r)) for b, r in zip(base, ref)]
-
-
-def inf_clock(c1: Sequence[bool], c2: Sequence[bool]) -> list[bool]:
-    """Tick with whichever operand is not behind the other.
-
-    The k-th result tick lands at min(k-th c1 tick, k-th c2 tick); once
-    the shorter operand is exhausted the faster one keeps the result
-    ticking, so h_inf(i) = max(h_c1(i), h_c2(i)).
-    """
-    if len(c1) != len(c2):
-        raise ExpressionError(f"operand length mismatch: {len(c1)} vs {len(c2)}")
-    out = []
-    h1 = h2 = 0
-    for t1, t2 in zip(c1, c2):
-        out.append((bool(t1) and h1 >= h2) or (bool(t2) and h2 >= h1))
-        h1 += t1
-        h2 += t2
-    return out
-
-
-def sup_clock(c1: Sequence[bool], c2: Sequence[bool]) -> list[bool]:
-    """Tick with whichever operand is catching up from behind.
-
-    The k-th result tick lands at max(k-th c1 tick, k-th c2 tick); the
-    result stops with the slower operand, so h_sup(i) = min(h_c1(i),
-    h_c2(i)).  Ticks coinciding at equal histories emit exactly once.
-    """
-    if len(c1) != len(c2):
-        raise ExpressionError(f"operand length mismatch: {len(c1)} vs {len(c2)}")
-    out = []
-    h1 = h2 = 0
-    for t1, t2 in zip(c1, c2):
-        out.append(
-            (bool(t1) and h1 < h2)
-            or (bool(t2) and h2 < h1)
-            or (bool(t1) and bool(t2) and h1 == h2)
-        )
-        h1 += t1
-        h2 += t2
-    return out
-
-
 def eval_expr(
     expr: ClockExpr,
     trace: Trace,
-    cache: dict[ClockExpr, list[bool]] | None = None,
-) -> list[bool]:
-    """Evaluate ``expr`` to a tick column over ``trace``.
+    cache: dict[ClockExpr, list[int]] | None = None,
+) -> list[int]:
+    """Evaluate ``expr`` to the sorted date list of its derived clock.
 
     Passing the same ``cache`` dict across calls on one trace lets
-    identical sub-expressions be evaluated once and shared; evaluators
-    are pure, so sharing never changes results.  Referencing a clock
-    the trace does not declare raises UnknownClockError.
+    identical sub-expressions be evaluated once and shared; evaluation
+    is pure, so sharing never changes results.  Returned lists may be
+    shared with the cache and the trace: read them, do not modify them.
+    Referencing a clock the trace does not declare raises
+    UnknownClockError.
     """
     if cache is None:
         cache = {}
     return _eval(expr, trace, cache)
 
 
-def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[bool]]) -> list[bool]:
+def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[int]]) -> list[int]:
     hit = cache.get(expr)
     if hit is not None:
         return hit
     match expr:
         case Ref(clock):
-            col = [bool(t) for t in trace.column(clock)]
+            dates = trace.dates(clock)
         case PeriodicOn(base, period):
-            col = periodic_on(_eval(base, trace, cache), period)
+            # the j-th base tick has history j: keep j = 0, p, 2p, ...
+            dates = _eval(base, trace, cache)[::period]
         case DelayFor(base, delay, ref):
-            col = delay_for(_eval(base, trace, cache), delay, _eval(ref, trace, cache))
+            dates = _delay_for(
+                _eval(base, trace, cache), delay, _eval(ref, trace, cache), len(trace)
+            )
         case Inf(left, right):
-            col = inf_clock(_eval(left, trace, cache), _eval(right, trace, cache))
+            a, b = _eval(left, trace, cache), _eval(right, trace, cache)
+            if len(a) < len(b):
+                a, b = b, a
+            # the j-th tick comes with whichever operand reaches it first;
+            # past the end of the shorter operand the longer one ticks alone
+            dates = list(map(min, a, b)) + a[len(b):]
         case Sup(left, right):
-            col = sup_clock(_eval(left, trace, cache), _eval(right, trace, cache))
+            # the j-th tick waits for the operand that reaches it last
+            dates = list(map(max, _eval(left, trace, cache), _eval(right, trace, cache)))
         case _:
             raise ExpressionError(f"not a clock expression: {expr!r}")
-    cache[expr] = col
-    return col
+    cache[expr] = dates
+    return dates
+
+
+def _delay_for(base: list[int], delay: int, ref: list[int], n: int) -> list[int]:
+    """Map each base date to the ``delay``-th ref date strictly after it.
+
+    Targets past the last ref date are dropped (pending at trace end),
+    and base dates whose targets coincide give one output tick.
+    """
+    if len(ref) == n:
+        # ref ticks on every step (like ms): the target of b is b + delay
+        return [date + delay for date in base[: bisect_left(base, n - delay)]]
+    # due[p] is the delay-th ref date after the first p ref dates
+    due = ref[delay - 1:]
+    # p for each base date: the ref dates at or before it (nondecreasing)
+    passed = list(map(bisect_right, repeat(ref), base))
+    in_trace = passed[: bisect_left(passed, len(due))]
+    return list(map(due.__getitem__, dict.fromkeys(in_trace)))

@@ -1,18 +1,24 @@
-"""Streaming monitors for the five probabilistic clock relations.
+"""Monitors for the five probabilistic clock relations.
 
-Each monitor folds a trace step by step into two counters: k, the
-number of observation points, and m, the number of those that satisfy
-the relation.  The verdict is a fixed-sample hypothesis test: the
-relation holds at threshold p iff m/k >= p, compared in exact rational
-arithmetic.  A monitor with a sample size N freezes its verdict the
-moment k reaches N; otherwise it decides at trace end.
+Each monitor reduces a trace to two counters: k, the number of
+observation points, and m, the number of those that satisfy the
+relation.  The counts come from merging the two operands' date lists:
+at the j-th left date the left history is j and the right history is
+the number of right dates before it, so no step is visited on its own.
+The verdict is a fixed-sample hypothesis test: the relation holds at
+threshold p iff m/k >= p, compared in exact rational arithmetic.  A
+monitor with a sample size N keeps only the first N observations in
+step order, freezing its verdict once k reaches N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from enum import Enum, unique
+from fractions import Fraction
+from itertools import repeat
+from operator import le
 from typing import Sequence, Union
 
 from .clocks import Trace
@@ -22,15 +28,8 @@ from .exprs import ClockExpr, clocks_of, eval_expr
 __all__ = [
     "RelationKind",
     "RelationSpec",
-    "MonitorState",
     "Verdict",
     "RelationError",
-    "observe_subclock",
-    "observe_coincidence",
-    "observe_exclusion",
-    "observe_causality",
-    "observe_precedence",
-    "finalize",
     "check_relations",
 ]
 
@@ -90,182 +89,92 @@ class RelationError:
     message: str
 
 
-@dataclass
-class MonitorState:
-    """Mutable counters of one running monitor.
-
-    ``verdict`` moves from "running" to "valid" or "fail" exactly once,
-    via :func:`finalize`; a monitor that never observed anything stays
-    "running" and finalizes to a vacuous record instead.
-    """
-
-    k: int = 0
-    m: int = 0
-    verdict: str = "running"
-    step: int = 0
-    record: Verdict | None = field(default=None, repr=False)
-
-
-def observe_subclock(state: MonitorState, t1: bool, t2: bool) -> MonitorState:
-    """Left tick is an observation; it succeeds iff the right ticks too."""
-    if t1:
-        state.k += 1
-        if t2:
-            state.m += 1
-    state.step += 1
-    return state
-
-
-def observe_coincidence(state: MonitorState, t1: bool, t2: bool) -> MonitorState:
-    """Any tick is an observation; success needs both sides together."""
-    if t1 or t2:
-        state.k += 1
-        if t1 and t2:
-            state.m += 1
-    state.step += 1
-    return state
-
-
-def observe_exclusion(state: MonitorState, t1: bool, t2: bool) -> MonitorState:
-    """Any tick is an observation; success needs exactly one side."""
-    if t1 or t2:
-        state.k += 1
-        if t1 != t2:
-            state.m += 1
-    state.step += 1
-    return state
-
-
-def observe_causality(
-    state: MonitorState, t1: bool, h1: int, t2: bool, h2: int
-) -> MonitorState:
-    """Left tick succeeds iff the left history is not behind the right.
-
-    Histories are the pre-tick values at the current step.
-    """
-    if t1:
-        state.k += 1
-        if h1 >= h2:
-            state.m += 1
-    state.step += 1
-    return state
-
-
-def observe_precedence(
-    state: MonitorState, t1: bool, h1: int, t2: bool, h2: int
-) -> MonitorState:
-    """Strict causality: at equal histories a coincident right tick fails."""
-    if t1:
-        state.k += 1
-        if h1 >= h2 and not (h1 == h2 and t2):
-            state.m += 1
-    state.step += 1
-    return state
-
-
-def finalize(state: MonitorState, spec: RelationSpec) -> Verdict:
-    """Decide and record the verdict; idempotent on a finished monitor.
-
-    valid iff m/k >= p, checked as m*den(p) >= num(p)*k so the
-    comparison is exact for any k.  k = 0 yields a vacuous record and
-    leaves the state machine in "running" (it never had an observation
-    to decide on).
-    """
-    if state.record is not None:
-        return state.record
-    p = spec.threshold
-    if state.k == 0:
-        outcome = "vacuous"
-        probability = None
-    else:
-        probability = Fraction(state.m, state.k)
-        if state.m * p.denominator >= p.numerator * state.k:
-            outcome = "valid"
-        else:
-            outcome = "fail"
-        state.verdict = outcome
-    state.record = Verdict(
-        id=spec.id,
-        kind=spec.kind,
-        k=state.k,
-        m=state.m,
-        probability=probability,
-        threshold=p,
-        outcome=outcome,
-    )
-    return state.record
-
-
 CheckResult = Union[Verdict, RelationError]
 
 
 def check_relations(specs: Sequence[RelationSpec], trace: Trace) -> list[CheckResult]:
-    """Monitor every relation over one forward pass of the trace.
+    """Monitor every relation over the trace.
 
     Returns one result per spec, in spec order.  A relation that cannot
     be evaluated (a referenced clock missing from the trace) yields a
     RelationError entry; the remaining relations are still checked.
     Identical sub-expressions across relations are evaluated once.
     """
-    n = len(trace)
-    results: list[CheckResult | None] = [None] * len(specs)
-    cache: dict[ClockExpr, list[bool]] = {}
-    for idx, spec in enumerate(specs):
+    results: list[CheckResult] = []
+    cache: dict[ClockExpr, list[int]] = {}
+    for spec in specs:
         missing = sorted(
             name
             for name in clocks_of(spec.left) | clocks_of(spec.right)
             if name not in trace
         )
         if missing:
-            results[idx] = RelationError(
-                spec.id, f"unknown clock(s) in trace: {', '.join(missing)}"
+            results.append(
+                RelationError(spec.id, f"unknown clock(s) in trace: {', '.join(missing)}")
             )
             continue
         try:
             left = eval_expr(spec.left, trace, cache)
             right = eval_expr(spec.right, trace, cache)
         except PrccslError as exc:
-            results[idx] = RelationError(spec.id, str(exc))
+            results.append(RelationError(spec.id, str(exc)))
             continue
-        state = MonitorState()
-        _run_monitor(spec, state, left, right, n)
-        results[idx] = finalize(state, spec)
-    return results  # type: ignore[return-value]
+        k, m = _count(spec.kind, left, right, spec.sample_size)
+        results.append(_verdict(spec, k, m))
+    return results
 
 
-def _run_monitor(
-    spec: RelationSpec,
-    state: MonitorState,
-    c1: Sequence[bool],
-    c2: Sequence[bool],
-    n: int,
-) -> None:
-    """Feed one monitor the full trace, freezing early at sample size."""
-    cap = spec.sample_size
-    kind = spec.kind
-    if kind in (RelationKind.CAUSALITY, RelationKind.PRECEDENCE):
-        observe = (
-            observe_causality if kind is RelationKind.CAUSALITY else observe_precedence
-        )
-        h1 = h2 = 0
-        for i in range(n):
-            t1 = c1[i]
-            t2 = c2[i]
-            observe(state, t1, h1, t2, h2)
-            h1 += t1
-            h2 += t2
-            if cap is not None and state.k >= cap:
-                finalize(state, spec)
-                return
-        return
+def _count(
+    kind: RelationKind, left: list[int], right: list[int], cap: int | None
+) -> tuple[int, int]:
+    """(k, m) of one relation from its operands' date lists.
+
+    Only the first ``cap`` observations in step order count when a cap
+    is given.
+    """
+    if kind is RelationKind.COINCIDENCE or kind is RelationKind.EXCLUSION:
+        # observations are the dates in the union of both lists
+        union = set(left).union(right)
+        k = len(union)
+        if cap is not None and k > cap:
+            cutoff = sorted(union)[cap - 1]
+            left = left[: bisect_right(left, cutoff)]
+            right = right[: bisect_right(right, cutoff)]
+            k = cap
+        both = len(left) + len(right) - k
+        return k, both if kind is RelationKind.COINCIDENCE else k - both
+    # observations are the left dates; at the j-th one h1 = j
+    if cap is not None:
+        left = left[:cap]
     if kind is RelationKind.SUBCLOCK:
-        observe2 = observe_subclock
-    elif kind is RelationKind.COINCIDENCE:
-        observe2 = observe_coincidence
+        return len(left), len(set(left).intersection(right))
+    # causality needs h1 >= h2, the right ticks strictly before the date;
+    # precedence also fails at h1 == h2 when the right ticks on the date,
+    # so it needs h1 >= the right ticks up to and including the date
+    count_right = bisect_left if kind is RelationKind.CAUSALITY else bisect_right
+    h2s = map(count_right, repeat(right), left)
+    return len(left), sum(map(le, h2s, range(len(left))))
+
+
+def _verdict(spec: RelationSpec, k: int, m: int) -> Verdict:
+    """Decide the verdict of ``spec`` from its counts.
+
+    valid iff m/k >= p, checked as m*den(p) >= num(p)*k so the
+    comparison is exact for any k; k = 0 is vacuous.
+    """
+    p = spec.threshold
+    if k == 0:
+        outcome = "vacuous"
+        probability = None
     else:
-        observe2 = observe_exclusion
-    for i in range(n):
-        observe2(state, c1[i], c2[i])
-        if cap is not None and state.k >= cap:
-            finalize(state, spec)
-            return
+        probability = Fraction(m, k)
+        outcome = "valid" if m * p.denominator >= p.numerator * k else "fail"
+    return Verdict(
+        id=spec.id,
+        kind=spec.kind,
+        k=k,
+        m=m,
+        probability=probability,
+        threshold=p,
+        outcome=outcome,
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from contextlib import contextmanager
 from os import PathLike
 from typing import IO, Iterator, Union
@@ -25,6 +26,8 @@ from .errors import DeclarationError, TraceFormatError
 __all__ = ["write_trace", "read_trace"]
 
 Source = Union[str, PathLike, IO[str]]
+
+_BLOCK_ROWS = 8192  # rows rendered per write; bounds the writer's buffer
 
 
 @contextmanager
@@ -37,13 +40,28 @@ def _opened(target: Source, mode: str) -> Iterator[IO[str]]:
 
 
 def write_trace(trace: Trace, sink: Source) -> None:
-    """Write ``trace`` as canonical CSV to a path or text stream."""
+    """Write ``trace`` as canonical CSV to a path or text stream.
+
+    Rows are rendered a block at a time straight from the date lists:
+    a block starts as all-"0" cells and only its ticks become "1".
+    """
+    clocks = trace.clocks
+    width = 2 * len(clocks) + 1  # ",0" per clock, then the newline
+    blank_row = b",0" * len(clocks) + b"\n"
+    n = len(trace)
     with _opened(sink, "w") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("step", *trace.clocks))
-        clocks = trace.clocks
-        for i, ticks in enumerate(trace.tick_sets()):
-            writer.writerow((i, *("1" if c in ticks else "0" for c in clocks)))
+        out.write(",".join(("step", *clocks)) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            cells = bytearray(blank_row * (stop - start))
+            for col, clock in enumerate(clocks):
+                dates = trace.dates(clock)
+                offset = 2 * col + 1 - start * width
+                for step in dates[bisect_left(dates, start):bisect_left(dates, stop)]:
+                    cells[step * width + offset] = 49  # ord("1")
+            text = cells.decode("ascii")
+            rows = range(stop - start)
+            out.write("".join([f"{start + r}{text[r * width:(r + 1) * width]}" for r in rows]))
 
 
 def read_trace(source: Source) -> Trace:

@@ -1,13 +1,6 @@
 import pytest
 
-from prccsl import (
-    DeclarationError,
-    HistoryTracker,
-    Trace,
-    UNIVERSAL_CLOCK,
-    UnknownClockError,
-    trace_new,
-)
+from prccsl import DeclarationError, Trace, UNIVERSAL_CLOCK, UnknownClockError
 
 
 def test_universal_clock_name():
@@ -25,8 +18,8 @@ def test_trace_basic_accessors():
     assert t.tick_at("a", 0) and not t.tick_at("a", 1)
     assert t.column("a") == [True, False, False]
     assert t.dates("ms") == [0, 1]
-    assert t.tick_set(0) == {"ms", "a"}
-    assert list(t.tick_sets()) == [{"ms", "a"}, {"ms"}, set()]
+    assert [c for c in t.clocks if t.tick_at(c, 0)] == ["ms", "a"]
+    assert [[c for c in t.clocks if t.tick_at(c, i)] for i in range(3)] == [["ms", "a"], ["ms"], []]
 
 
 def test_history_counts_strictly_earlier_ticks():
@@ -52,9 +45,10 @@ def test_duplicate_and_invalid_clock_names():
 
 
 def test_append_rejects_unknown_clock():
-    t = trace_new(["a"])
+    t = Trace(["a"])
     with pytest.raises(UnknownClockError):
-        t.append({"b"})
+        t.append({"a", "b"})
+    assert len(t) == 0 and t.dates("a") == []
 
 
 def test_from_dates_clips_out_of_range():
@@ -69,15 +63,15 @@ def test_from_dates_unlisted_clock_is_silent():
     assert t.dates("b") == []
 
 
-def test_history_tracker_matches_trace():
+def test_history_at_matches_running_count():
     t = Trace(["a", "b"])
     for ticks in ({"a"}, {"a", "b"}, set(), {"b"}):
         t.append(ticks)
-    tracker = HistoryTracker(["a", "b"])
-    for i, ticks in enumerate(t.tick_sets()):
-        assert tracker.step == i
-        assert tracker.history("a") == t.history_at("a", i)
-        assert tracker.history("b") == t.history_at("b", i)
-        tracker.advance(ticks)
-    assert tracker.history("a") == 2
-    assert tracker.history("b") == 2
+    h = {"a": 0, "b": 0}
+    for i in range(len(t)):
+        assert t.history_at("a", i) == h["a"]
+        assert t.history_at("b", i) == h["b"]
+        for clock in h:
+            h[clock] += t.tick_at(clock, i)
+    assert t.history_at("a", 4) == 2
+    assert t.history_at("b", 4) == 2

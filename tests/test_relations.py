@@ -1,22 +1,21 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from prccsl import (
-    MonitorState,
+    DelayFor,
+    Inf,
+    PeriodicOn,
     Ref,
     RelationError,
     RelationKind,
     RelationSpec,
+    Sup,
     Trace,
     Verdict,
     check_relations,
-    finalize,
-    observe_causality,
-    observe_coincidence,
-    observe_exclusion,
-    observe_precedence,
-    observe_subclock,
 )
 
 
@@ -64,47 +63,57 @@ def test_precedence_rejects_coincident_catch_up():
     assert (r.k, r.m) == (1, 0)
 
 
-def test_observers_return_state_and_advance_step():
-    s = MonitorState()
-    assert observe_subclock(s, True, True) is s
-    observe_coincidence(s, False, False)
-    observe_exclusion(s, True, False)
-    observe_causality(s, False, 0, True, 0)
-    observe_precedence(s, True, 2, False, 1)
-    assert s.step == 5
-    assert (s.k, s.m) == (3, 3)
+def test_each_step_adds_its_own_observation():
+    # (kind, earlier rows, final row): the final row is observed with
+    # t1, t2 and pre-tick histories h1, h2 as in the comment
+    cases = [
+        (RelationKind.SUBCLOCK, [], (1, 1)),  # t1, t2
+        (RelationKind.COINCIDENCE, [], (0, 0)),  # no tick: no observation
+        (RelationKind.EXCLUSION, [], (1, 0)),
+        (RelationKind.CAUSALITY, [], (0, 1)),  # h1 = h2 = 0, left silent
+        (RelationKind.PRECEDENCE, [(1, 1), (1, 0)], (1, 0)),  # h1 = 2, h2 = 1
+    ]
+    k = m = 0
+    for kind, rows, last in cases:
+        before = run(kind, rows, threshold="0")
+        after = run(kind, rows + [last], threshold="0")
+        k += after.k - before.k
+        m += after.m - before.m
+    assert (k, m) == (3, 3)
 
 
 def test_verdict_threshold_boundary_is_exact():
     # 19 of 20 at threshold 19/20 is valid; 18 of 20 is not
-    s = MonitorState(k=20, m=19)
-    v = finalize(s, spec(RelationKind.SUBCLOCK, "0.95"))
+    v = run(RelationKind.SUBCLOCK, [(1, 1)] * 19 + [(1, 0)], threshold="0.95")
+    assert (v.k, v.m) == (20, 19)
     assert v.outcome == "valid" and v.probability == Fraction(19, 20)
-    s2 = MonitorState(k=20, m=18)
-    assert finalize(s2, spec(RelationKind.SUBCLOCK, "0.95")).outcome == "fail"
+    v2 = run(RelationKind.SUBCLOCK, [(1, 1)] * 18 + [(1, 0)] * 2, threshold="0.95")
+    assert (v2.k, v2.m) == (20, 18) and v2.outcome == "fail"
 
 
 def test_borderline_counts_flip_with_threshold():
-    s = MonitorState(k=7, m=6)
-    assert finalize(s, spec(RelationKind.COINCIDENCE, "0.95")).outcome == "fail"
-    s = MonitorState(k=7, m=6)
-    assert finalize(s, spec(RelationKind.COINCIDENCE, "0.85")).outcome == "valid"
+    rows = [(1, 1)] * 6 + [(1, 0)]
+    strict = run(RelationKind.COINCIDENCE, rows, threshold="0.95")
+    assert (strict.k, strict.m, strict.outcome) == (7, 6, "fail")
+    loose = run(RelationKind.COINCIDENCE, rows, threshold="0.85")
+    assert (loose.k, loose.m, loose.outcome) == (7, 6, "valid")
 
 
 def test_vacuous_monitor():
     r = run(RelationKind.SUBCLOCK, [(0, 1), (0, 0)])
     assert r.outcome == "vacuous"
     assert r.k == 0 and r.probability is None
-    s = MonitorState()
-    finalize(s, spec(RelationKind.SUBCLOCK))
-    assert s.verdict == "running"
+    empty = run(RelationKind.SUBCLOCK, [])
+    assert (empty.k, empty.m, empty.outcome) == (0, 0, "vacuous")
 
 
-def test_finalize_is_idempotent():
-    s = MonitorState(k=4, m=4)
-    first = finalize(s, spec(RelationKind.SUBCLOCK))
-    s.k = 99  # must not affect the frozen record
-    assert finalize(s, spec(RelationKind.SUBCLOCK)) is first
+def test_verdict_is_frozen_and_repeatable():
+    rows = [(1, 1)] * 4
+    first = run(RelationKind.SUBCLOCK, rows)
+    assert (first.k, first.m, first.outcome) == (4, 4, "valid")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.k = 99  # type: ignore[misc]
+    assert run(RelationKind.SUBCLOCK, rows) == first
 
 
 def test_sample_cap_freezes_early():
@@ -115,6 +124,16 @@ def test_sample_cap_freezes_early():
     uncapped = run(RelationKind.SUBCLOCK, rows)
     assert (uncapped.k, uncapped.m) == (10, 5)
     assert uncapped.outcome == "fail"
+
+
+def test_sample_cap_keeps_first_union_ticks_in_step_order():
+    # union in step order: 0 (a), 1 (b), 2 (both), 3 (a), 4 (both)
+    rows = [(1, 0), (0, 1), (1, 1), (1, 0), (1, 1)]
+    coinc = run(RelationKind.COINCIDENCE, rows, sample_size=3)
+    assert (coinc.k, coinc.m) == (3, 1)
+    excl = run(RelationKind.EXCLUSION, rows, sample_size=4)
+    assert (excl.k, excl.m) == (4, 3)
+    assert (run(RelationKind.EXCLUSION, rows, sample_size=9).k) == 5
 
 
 def test_missing_clock_becomes_relation_error():
@@ -149,3 +168,23 @@ def test_relation_spec_validation():
         RelationSpec("", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), Fraction(1, 2))
     with pytest.raises(ValueError):
         RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), Fraction(1, 2), 0)
+
+
+def test_memory_grows_with_ticks_not_steps():
+    n = 1_000_000
+    dates = {"a": [3, 400_000, 999_999], "b": [10, 20, 500_000, 700_000], "c": [5, 600_000, 900_000]}
+    left = PeriodicOn(Inf(Ref("a"), Ref("c")), 2)
+    right = DelayFor(Sup(Ref("b"), Ref("c")), 2, Ref("b"))
+    specs = [
+        RelationSpec(kind.value, kind, left if i % 2 else Ref("a"), right if i % 2 else Ref("b"), Fraction(1, 2))
+        for i, kind in enumerate(RelationKind)
+    ]
+    tracemalloc.start()
+    try:
+        trace = Trace.from_dates(["a", "b", "c"], n, dates)
+        results = check_relations(specs, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(r, Verdict) for r in results)
+    assert peak < 2**20
