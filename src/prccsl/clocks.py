@@ -135,10 +135,3 @@ class Trace:
         if not 0 <= step <= self._length:
             raise IndexError(f"step {step} out of range for trace of length {self._length}")
         return bisect_left(dates, step)
-
-    def column(self, clock: str) -> list[bool]:
-        """Dense boolean view of one clock, one entry per step."""
-        column = [False] * self._length
-        for step in self.dates(clock):
-            column[step] = True
-        return column

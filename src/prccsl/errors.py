@@ -30,15 +30,7 @@ class SpecError(PrccslError):
 
 
 class SpecSyntaxError(SpecError):
-    """Tokenization or grammar violation.
-
-    ``expected`` holds the token descriptions that would have been
-    accepted at the error position.
-    """
-
-    def __init__(self, message: str, line: int, column: int, expected: frozenset[str] = frozenset()):
-        super().__init__(message, line, column)
-        self.expected = expected
+    """Tokenization or grammar violation."""
 
 
 class SpecValidationError(SpecError):

@@ -19,15 +19,18 @@ run/accelerate/turn re-entry events emitted only after it.  Activity
 clocks (turnLeft, rightOn) tick on every step of their phase while the
 controller is in Normal mode.
 
-All randomness comes from named substreams seeded as "<seed>/<name>",
-so identical parameters give byte-identical traces and adding a new
-stochastic source does not perturb the existing ones.
+The model timing is fixed and matches the bundled corpus: trigger
+periods 50/200/40/30 (R1-R4), the execution windows above, a 500 ms
+sporadic dwell.  A run is configured by ``AVParams(seed=..., steps=...)``
+alone.  All randomness comes from named substreams seeded as
+"<seed>/<name>", so identical parameters give byte-identical traces and
+adding a new stochastic source does not perturb the existing ones.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .clocks import Trace
 from .errors import FaultTargetError
@@ -36,7 +39,6 @@ __all__ = [
     "ALPHABET",
     "AVParams",
     "FaultSpec",
-    "ControllerState",
     "FAULT_TARGETS",
     "simulate",
     "simulate_faulty",
@@ -85,7 +87,19 @@ ALPHABET = (
     "DetectStopSign",
 )
 
-# internal schedule constants (steps)
+# internal schedule constants (steps); the periods and execution
+# windows are the ones the bundled corpus states as literals
+_CAMERA_PERIOD = 50  # cmrTrig
+_SIGNREC_PERIOD = 200  # signTrig
+_OBSTACLE_PERIOD = 40  # obsDetect
+_SPEED_PERIOD = 30  # spUpdate
+_EXEC_CAMERA = (20, 30)
+_EXEC_SIGNREC = (100, 150)
+_EXEC_CONTROLLER = (100, 150)
+_EXEC_VEHICLEDYN = (50, 100)
+_SPORADIC_DWELL = 500  # mode transitions disabled after an obstacle
+_SIGN_TYPE_COUNT = 6  # types 0..2 are left, right, stop; the rest carry no maneuver
+_OBSTACLE_PROB = 0.05  # per obstacle-detection tick
 _INPUT_SYNC_WINDOW = 40  # controller input ports arrive within this window
 _OUTPUT_SYNC_WINDOW = 30  # controller output ports leave within this window
 _START_LATENCY = (100, 400)  # sign detection -> start-of-action command
@@ -130,53 +144,14 @@ _STREAMS = (
 
 @dataclass(frozen=True)
 class AVParams:
-    """Timing and environment parameters of the vehicle model."""
+    """Seed and length of one run of the vehicle model."""
 
-    camera_period: int = 50
-    signrec_period: int = 200
-    obstacle_period: int = 40
-    speed_period: int = 30
-    exec_camera: tuple[int, int] = (20, 30)
-    exec_signrec: tuple[int, int] = (100, 150)
-    exec_controller: tuple[int, int] = (100, 150)
-    exec_vehicledyn: tuple[int, int] = (50, 100)
-    sporadic_dwell: int = 500
-    w_cmr: int = 30
-    w_sr: int = 150
-    w_ctrl: int = 150
-    w_vd: int = 100
-    sign_type_count: int = 6
-    obstacle_prob: float = 0.05
-    speed_jitter: tuple[int, int] = (0, 2)
     seed: int = 42
     steps: int = 60000
 
     def __post_init__(self) -> None:
-        for name in ("camera_period", "signrec_period", "obstacle_period", "speed_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("exec_camera", "exec_signrec", "exec_controller", "exec_vehicledyn", "speed_jitter"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise ValueError(f"{name} must be a nonempty interval, got [{lo}, {hi}]")
-        if not 0 <= self.obstacle_prob <= 1:
-            raise ValueError("obstacle_prob must be in [0, 1]")
-        if self.sporadic_dwell < 1:
-            raise ValueError("sporadic_dwell must be positive")
-        if self.sign_type_count < 3:
-            raise ValueError("sign_type_count must be at least 3 (left, right, stop)")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        # worst-case symbols must equal the execution upper bounds
-        pairs = (
-            ("w_cmr", self.w_cmr, self.exec_camera),
-            ("w_sr", self.w_sr, self.exec_signrec),
-            ("w_ctrl", self.w_ctrl, self.exec_controller),
-            ("w_vd", self.w_vd, self.exec_vehicledyn),
-        )
-        for name, value, interval in pairs:
-            if value != interval[1]:
-                raise ValueError(f"{name} must equal {interval[1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +160,6 @@ class FaultSpec:
 
     target: str
     rate: float
-
-
-@dataclass
-class ControllerState:
-    """Mode and Normal-mode substate of the controller."""
-
-    mode: str = "Normal"  # "Normal" | "Emergency"
-    substate: str = "acc"  # "turnLeft" | "turnRight" | "Stop" | "dec" | "acc"
-    emergency_entry_step: int | None = None
 
 
 def simulate(params: AVParams) -> Trace:
@@ -243,10 +209,10 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
 
     dates: dict[str, list[int]] = {name: [] for name in ALPHABET}
     dates["ms"] = list(range(n))
-    dates["signTrig"] = periodic(params.signrec_period, "periodic-R2")
-    dates["obsDetect"] = periodic(params.obstacle_period, "periodic-R3")
-    dates["spUpdate"] = periodic(params.speed_period, "periodic-R4")
-    dates["cmrTrig"] = periodic(params.camera_period, "periodic-R1")
+    dates["signTrig"] = periodic(_SIGNREC_PERIOD, "periodic-R2")
+    dates["obsDetect"] = periodic(_OBSTACLE_PERIOD, "periodic-R3")
+    dates["spUpdate"] = periodic(_SPEED_PERIOD, "periodic-R4")
+    dates["cmrTrig"] = periodic(_CAMERA_PERIOD, "periodic-R1")
 
     # -- frame pipeline: one job per camera trigger ---------------------
 
@@ -263,10 +229,10 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
 
     commands: list[tuple[int, int, str]] = []  # (step, priority, action)
     for trig in dates["cmrTrig"]:
-        cmr_out = emit("cmrOut", trig + draw("camera-exec", params.exec_camera, "exec-R6"))
+        cmr_out = emit("cmrOut", trig + draw("camera-exec", _EXEC_CAMERA, "exec-R6"))
         im_in = emit("imIn", cmr_out)
         sign_out = emit(
-            "signOut", im_in + draw("signrec-exec", params.exec_signrec, "exec-R5")
+            "signOut", im_in + draw("signrec-exec", _EXEC_SIGNREC, "exec-R5")
         )
         # recognition hand-off opens the controller input window: the
         # sign-type port arrives first, the state feedback ports follow
@@ -276,18 +242,18 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         for port in in_ports:
             emit(port, sign_out + rng["input-sync"].randint(0, _INPUT_SYNC_WINDOW))
         ctrl_out = emit(
-            "ctrlOut", ctrl_in + draw("ctrl-exec", params.exec_controller, "exec-R7")
+            "ctrlOut", ctrl_in + draw("ctrl-exec", _EXEC_CONTROLLER, "exec-R7")
         )
         for port in out_ports:
             emit(port, ctrl_out + rng["output-sync"].randint(0, _OUTPUT_SYNC_WINDOW))
         vd_in = emit("vdIn", ctrl_out)
         vd_out = emit(
-            "vdOut", vd_in + draw("vd-exec", params.exec_vehicledyn, "exec-R8")
+            "vdOut", vd_in + draw("vd-exec", _EXEC_VEHICLEDYN, "exec-R8")
         )
         emit("spOut", vd_out)
         emit("tqOut", vd_out)
 
-        sign = rng["sign-type"].randrange(params.sign_type_count)
+        sign = rng["sign-type"].randrange(_SIGN_TYPE_COUNT)
         if sign == 0:
             emit("DetectLeftSign", sign_out)
             start = emit(
@@ -317,8 +283,8 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
     for t in dates["obsDetect"]:
         if t <= rearm:
             continue
-        if rng["obstacle"].random() < params.obstacle_prob:
-            recovery = t + params.sporadic_dwell + 1 + rng["recovery"].randint(0, _RECOVERY_JITTER)
+        if rng["obstacle"].random() < _OBSTACLE_PROB:
+            recovery = t + _SPORADIC_DWELL + 1 + rng["recovery"].randint(0, _RECOVERY_JITTER)
             episodes.append((t, recovery))
             rearm = recovery
     for entry, recovery in episodes:
@@ -334,59 +300,57 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
     # Chronological replay of commands, stop events, and emergency
     # episodes; same-step order: entry, recovery, command, standstill.
 
-    state = ControllerState()
+    mode = "Normal"  # "Normal" | "Emergency"
+    substate = "acc"  # Normal-mode phase: "turnLeft" | "turnRight" | "Stop" | "dec" | "acc"
     phase_end: int | None = None
     saved: tuple[str, int | None] = ("acc", None)
     seg_start = 0
 
     def close(end: int) -> None:
-        if state.mode == "Normal" and end > seg_start:
-            if state.substate == "turnLeft":
+        if mode == "Normal" and end > seg_start:
+            if substate == "turnLeft":
                 dates["turnLeft"].extend(range(seg_start, min(end, n)))
-            elif state.substate == "turnRight":
+            elif substate == "turnRight":
                 dates["rightOn"].extend(range(seg_start, min(end, n)))
 
     for step, priority, action in sorted(commands):
-        if state.mode == "Normal" and phase_end is not None and phase_end <= step:
+        if mode == "Normal" and phase_end is not None and phase_end <= step:
             close(phase_end)
-            state.substate, phase_end, seg_start = "acc", None, phase_end
+            substate, phase_end, seg_start = "acc", None, phase_end
         if action == "entry":
             close(step)
-            saved = (state.substate, phase_end)
-            state.mode, state.emergency_entry_step = "Emergency", step
+            saved = (substate, phase_end)
+            mode = "Emergency"
             phase_end, seg_start = None, step
             continue
         if action == "recovery":
-            state.mode, state.emergency_entry_step = "Normal", None
-            substate, end = saved
-            if substate in ("turnLeft", "turnRight") and (end is None or end > step):
-                state.substate, phase_end = substate, end
-                dates["tLeft" if substate == "turnLeft" else "tRight"].append(step)
+            mode = "Normal"
+            resumed, end = saved
+            if resumed in ("turnLeft", "turnRight") and (end is None or end > step):
+                substate, phase_end = resumed, end
+                dates["tLeft" if resumed == "turnLeft" else "tRight"].append(step)
             else:
-                state.substate, phase_end = "acc", None
+                substate, phase_end = "acc", None
             seg_start = step
             continue
         if action == "stopped":
             duration = rng["stop-duration"].randint(*_STOP_DURATION)
-            if state.mode == "Normal" and state.substate == "dec":
+            if mode == "Normal" and substate == "dec":
                 close(step)
-                state.substate, phase_end, seg_start = "Stop", step + duration, step
+                substate, phase_end, seg_start = "Stop", step + duration, step
             continue
         # maneuver command
         duration = (
             rng["turn-duration"].randint(*_TURN_DURATION) if action != "dec" else None
         )
-        if state.mode == "Emergency":
+        if mode == "Emergency":
             continue  # transitions disabled during the dwell
         close(step)
-        state.substate = action
+        substate = action
         phase_end = None if duration is None else step + duration
         seg_start = step
-    if state.mode == "Normal" and phase_end is not None and phase_end < n:
+    if mode == "Normal" and phase_end is not None and phase_end < n:
         close(phase_end)
-        state.substate, seg_start = "acc", phase_end
+        substate, seg_start = "acc", phase_end
     close(n)
-
-    for clock in ("turnLeft", "rightOn"):
-        dates[clock].sort()
     return Trace.from_dates(ALPHABET, n, dates)

@@ -39,12 +39,15 @@ __all__ = [
     "parse",
     "pretty_print",
     "elaborate",
-    "SPEC_FILE_EXTENSION",
 ]
 
-SPEC_FILE_EXTENSION = ".prccsl"
-
 UNIVERSAL = "ms"
+
+# Bound on expression nesting, so that the recursive parser, elaborator
+# and evaluator stay far inside Python's recursion limit.  It applies
+# separately to open parentheses and to the nodes on the path down to a
+# leaf with definitions inlined; the bundled corpus reaches about 4.
+_MAX_DEPTH = 100
 
 KEYWORDS = frozenset(
     {
@@ -188,7 +191,9 @@ class _Parser:
         self.pos = 0
         # flat namespace: name -> "clock" | "def" | "rel"
         self.names: dict[str, str] = {UNIVERSAL: "clock"}
-        self.defs: dict[str, ClockExpr] = {}
+        # definition name -> node depth of its deepest leaf once inlined
+        self.def_depths: dict[str, int] = {}
+        self.open_parens = 0
         self.clocks: list[ClockDecl] = []
         self.definitions: list[Definition] = []
         self.relations: list[RelationStmt] = []
@@ -205,49 +210,33 @@ class _Parser:
         self.pos += 1
         return token
 
-    def fail(self, message: str, token: _Token, expected: frozenset[str] = frozenset()):
-        raise SpecSyntaxError(message, token.line, token.column, expected)
+    def fail(self, message: str, token: _Token):
+        raise SpecSyntaxError(message, token.line, token.column)
 
     def expect_kw(self, word: str) -> _Token:
         token = self.peek()
         if token.type == "kw" and token.text == word:
             return self.advance()
-        self.fail(
-            f"expected '{word}', found {_describe(token)}", token, frozenset({word})
-        )
+        self.fail(f"expected '{word}', found {_describe(token)}", token)
 
     def expect_sym(self, sym: str) -> _Token:
         token = self.peek()
         if token.type == "sym" and token.text == sym:
             return self.advance()
-        self.fail(
-            f"expected '{sym}', found {_describe(token)}", token, frozenset({sym})
-        )
+        self.fail(f"expected '{sym}', found {_describe(token)}", token)
 
     def expect_ident(self, role: str) -> _Token:
         token = self.peek()
         if token.type == "ident":
             return self.advance()
         if token.type == "kw":
-            self.fail(
-                f"keyword '{token.text}' cannot be used as {role}",
-                token,
-                frozenset({"identifier"}),
-            )
-        self.fail(
-            f"expected {role}, found {_describe(token)}",
-            token,
-            frozenset({"identifier"}),
-        )
+            self.fail(f"keyword '{token.text}' cannot be used as {role}", token)
+        self.fail(f"expected {role}, found {_describe(token)}", token)
 
     def expect_nat(self, role: str, minimum: int = 1) -> int:
         token = self.peek()
         if token.type != "number":
-            self.fail(
-                f"expected {role}, found {_describe(token)}",
-                token,
-                frozenset({"number"}),
-            )
+            self.fail(f"expected {role}, found {_describe(token)}", token)
         self.advance()
         if "." in token.text:
             raise SpecValidationError(
@@ -286,6 +275,16 @@ class _Parser:
             )
         return Ref(name)
 
+    def within_limit(self, depth: int, token: _Token) -> int:
+        """Return ``depth`` if it is within _MAX_DEPTH, else raise at ``token``."""
+        if depth > _MAX_DEPTH:
+            raise SpecValidationError(
+                f"expression nested deeper than {_MAX_DEPTH} levels",
+                token.line,
+                token.column,
+            )
+        return depth
+
     # grammar -----------------------------------------------------------
 
     def parse_file(self) -> SpecFile:
@@ -294,11 +293,7 @@ class _Parser:
             if token.type == "eof":
                 break
             if token.type != "kw" or token.text not in ("clock", "def", "rel", "set"):
-                self.fail(
-                    f"expected a statement, found {_describe(token)}",
-                    token,
-                    frozenset({"clock", "def", "rel", "set"}),
-                )
+                self.fail(f"expected a statement, found {_describe(token)}", token)
             if token.text == "clock":
                 self.parse_clock()
             elif token.text == "def":
@@ -324,9 +319,9 @@ class _Parser:
         keyword = self.advance()
         token = self.expect_ident("a definition name")
         self.expect_sym("=")
-        expr = self.parse_expr()
+        expr, depth = self.parse_expr(0)
         self.declare(token, "def")
-        self.defs[token.text] = expr
+        self.def_depths[token.text] = depth
         self.definitions.append(
             Definition(token.text, expr, keyword.line, keyword.column)
         )
@@ -335,25 +330,17 @@ class _Parser:
         keyword = self.advance()
         token = self.expect_ident("a relation id")
         self.expect_sym(":")
-        left = self.parse_expr()
+        left, _ = self.parse_expr(0)
         op = self.peek()
         if op.type != "kw" or op.text not in _RELOPS:
-            self.fail(
-                f"expected a relation operator, found {_describe(op)}",
-                op,
-                frozenset(_RELOPS),
-            )
+            self.fail(f"expected a relation operator, found {_describe(op)}", op)
         self.advance()
-        right = self.parse_expr()
+        right, _ = self.parse_expr(0)
         self.expect_kw("prob")
         self.expect_sym(">=")
         number = self.peek()
         if number.type != "number":
-            self.fail(
-                f"expected a probability, found {_describe(number)}",
-                number,
-                frozenset({"number"}),
-            )
+            self.fail(f"expected a probability, found {_describe(number)}", number)
         self.advance()
         threshold = Fraction(number.text)
         if not 0 <= threshold <= 1:
@@ -377,11 +364,7 @@ class _Parser:
         keyword = self.advance()
         token = self.peek()
         if token.type != "kw" or token.text not in ("steps", "samples"):
-            self.fail(
-                f"expected 'steps' or 'samples', found {_describe(token)}",
-                token,
-                frozenset({"steps", "samples"}),
-            )
+            self.fail(f"expected 'steps' or 'samples', found {_describe(token)}", token)
         self.advance()
         value = self.expect_nat(f"the {token.text} value", minimum=0 if token.text == "steps" else 1)
         if token.text == "steps":
@@ -397,48 +380,56 @@ class _Parser:
                 )
             self.samples = value
 
-    def parse_expr(self) -> ClockExpr:
-        expr = self.parse_atom()
+    def parse_expr(self, depth: int) -> tuple[ClockExpr, int]:
+        """Parse an expression whose root node sits ``depth`` nodes deep.
+
+        Returns the expression and the depth of its deepest leaf with
+        definitions inlined.
+        """
+        expr, reach = self.parse_atom(depth)
         while True:
             token = self.peek()
             if token.type == "kw" and token.text == "delayfor":
                 self.advance()
                 delay = self.expect_nat("the delay")
                 self.expect_kw("on")
-                ref = self.parse_atom()
+                ref, ref_reach = self.parse_atom(depth + 1)
                 expr = DelayFor(expr, delay, ref)
+                # the new root pushes everything parsed so far one node down
+                reach = self.within_limit(max(reach + 1, ref_reach), token)
             else:
-                return expr
+                return expr, reach
 
-    def parse_atom(self) -> ClockExpr:
+    def parse_atom(self, depth: int) -> tuple[ClockExpr, int]:
         token = self.peek()
+        self.within_limit(depth, token)
         if token.type == "ident":
             self.advance()
-            return self.resolve(token)
+            expr = self.resolve(token)
+            return expr, self.within_limit(depth + self.def_depths.get(token.text, 0), token)
         if token.type == "sym" and token.text == "(":
             self.advance()
-            expr = self.parse_expr()
+            self.open_parens = self.within_limit(self.open_parens + 1, token)
+            result = self.parse_expr(depth)
             self.expect_sym(")")
-            return expr
+            self.open_parens -= 1
+            return result
         if token.type == "kw" and token.text == "periodicon":
             self.advance()
-            base = self.parse_expr()
+            base, reach = self.parse_expr(depth + 1)
             self.expect_kw("period")
             period = self.expect_nat("the period")
-            return PeriodicOn(base, period)
+            return PeriodicOn(base, period), reach
         if token.type == "kw" and token.text in ("inf", "sup"):
             self.advance()
             self.expect_sym("(")
-            left = self.parse_expr()
+            left, left_reach = self.parse_expr(depth + 1)
             self.expect_sym(",")
-            right = self.parse_expr()
+            right, right_reach = self.parse_expr(depth + 1)
             self.expect_sym(")")
-            return Inf(left, right) if token.text == "inf" else Sup(left, right)
-        self.fail(
-            f"expected an expression, found {_describe(token)}",
-            token,
-            frozenset({"identifier", "(", "periodicon", "inf", "sup"}),
-        )
+            node = Inf(left, right) if token.text == "inf" else Sup(left, right)
+            return node, max(left_reach, right_reach)
+        self.fail(f"expected an expression, found {_describe(token)}", token)
 
 
 def _describe(token: _Token) -> str:

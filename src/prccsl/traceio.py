@@ -18,7 +18,7 @@ import io
 from bisect import bisect_left
 from contextlib import contextmanager
 from os import PathLike
-from typing import IO, Iterator, Union
+from typing import IO, Any, Iterator, Union
 
 from .clocks import Trace
 from .errors import DeclarationError, TraceFormatError
@@ -68,43 +68,51 @@ def read_trace(source: Source) -> Trace:
     """Parse a trace CSV, validating structure cell by cell.
 
     Raises TraceFormatError (with the 1-based line number) on a
-    malformed header, a non-0/1 cell, a ragged row, or a step index
-    that does not match the row position.
+    malformed header, a non-0/1 cell, a ragged row, a step index
+    that does not match the row position, or a line the csv module
+    cannot parse.
     """
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError("missing header row", 1) from None
-        if not header or header[0] != "step":
-            raise TraceFormatError("header must start with 'step'", 1)
-        try:
-            trace = Trace(header[1:])
-        except DeclarationError as exc:
-            raise TraceFormatError(f"bad header: {exc}", 1) from None
-        width = len(header)
-        expected_step = 0
-        for row in reader:
-            line = reader.line_num
-            if len(row) != width:
-                raise TraceFormatError(
-                    f"row has {len(row)} fields, expected {width}", line
-                )
-            if row[0] != str(expected_step):
-                raise TraceFormatError(
-                    f"non-consecutive step index {row[0]!r}, expected {expected_step}",
-                    line,
-                )
-            ticks = []
-            for name, cell in zip(trace.clocks, row[1:]):
-                if cell == "1":
-                    ticks.append(name)
-                elif cell != "0":
-                    raise TraceFormatError("cell must be 0 or 1", line)
-            trace.append(ticks)
-            expected_step += 1
-        return trace
+            return _read_rows(reader)
+        except csv.Error as exc:
+            raise TraceFormatError(str(exc), reader.line_num) from None
+
+
+def _read_rows(reader: Any) -> Trace:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError("missing header row", 1) from None
+    if not header or header[0] != "step":
+        raise TraceFormatError("header must start with 'step'", 1)
+    try:
+        trace = Trace(header[1:])
+    except DeclarationError as exc:
+        raise TraceFormatError(f"bad header: {exc}", 1) from None
+    width = len(header)
+    expected_step = 0
+    for row in reader:
+        line = reader.line_num
+        if len(row) != width:
+            raise TraceFormatError(
+                f"row has {len(row)} fields, expected {width}", line
+            )
+        if row[0] != str(expected_step):
+            raise TraceFormatError(
+                f"non-consecutive step index {row[0]!r}, expected {expected_step}",
+                line,
+            )
+        ticks = []
+        for name, cell in zip(trace.clocks, row[1:]):
+            if cell == "1":
+                ticks.append(name)
+            elif cell != "0":
+                raise TraceFormatError("cell must be 0 or 1", line)
+        trace.append(ticks)
+        expected_step += 1
+    return trace
 
 
 def trace_to_string(trace: Trace) -> str:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from prccsl import Trace, write_trace
+from prccsl import FAULT_TARGETS, Trace, write_trace
 from prccsl.cli import main
 
 PASSING_SPEC = """\
@@ -237,3 +239,86 @@ def test_usage_error_exits_two():
         main([])
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# Fuzzing strategies: well-formed statements and traces mixed with
+# token and cell noise, so that drawn inputs reach past the first check.
+_SPEC_WORDS = (
+    "clock", "def", "rel", "set", "steps", "samples", "prob", ">=", "subclockof",
+    "coincides", "excludes", "causes", "precedes", "periodicon", "period", "delayfor",
+    "on", "inf", "sup", "(", ")", ",", ":", "=", "a", "b", "d", "r", "ms", "0", "1", "2",
+    "0.5", "1.5", "#", "$", "\n",
+)
+_number = st.sampled_from(("1", "2", "3"))
+_expr = st.recursive(
+    st.sampled_from(("a", "b", "ms")),
+    lambda inner: st.one_of(
+        st.tuples(inner, _number).map(lambda t: f"periodicon {t[0]} period {t[1]}"),
+        st.tuples(inner, _number, inner).map(lambda t: f"({t[0]} delayfor {t[1]} on {t[2]})"),
+        st.tuples(st.sampled_from(("inf", "sup")), inner, inner).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+    ),
+    max_leaves=4,
+)
+_statement = st.one_of(
+    st.sampled_from(("clock c", "set steps 5", "set samples 2")),
+    _expr.map(lambda e: f"def d = {e}"),
+    st.tuples(
+        st.integers(0, 9),
+        _expr,
+        st.sampled_from(("subclockof", "coincides", "excludes", "causes", "precedes")),
+        _expr,
+        st.sampled_from(("0", "0.5", "1")),
+    ).map(lambda t: f"rel r{t[0]}: {t[1]} {t[2]} {t[3]} prob >= {t[4]}"),
+)
+_noise = st.lists(st.sampled_from(_SPEC_WORDS), max_size=6).map(" ".join)
+_spec_text = st.one_of(
+    st.lists(_statement, max_size=4).map(lambda lines: "clock a\nclock b\n" + "\n".join(lines)),
+    st.lists(_statement | _noise, max_size=6).map(lambda lines: "".join(line + "\n" for line in lines)),
+    st.text(max_size=60),
+)
+_csv_text = st.one_of(
+    st.lists(st.lists(st.sampled_from("01"), min_size=3, max_size=3), max_size=20).map(
+        lambda rows: "step,ms,a,b\n" + "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows))
+    ),
+    st.lists(
+        st.lists(st.sampled_from(("step", "ms", "a", "b", "0", "1", "2", "x", "", '"')), max_size=5),
+        max_size=8,
+    ).map(lambda rows: "".join(",".join(row) + "\n" for row in rows)),
+    st.text(max_size=60),
+)
+_fault = st.tuples(
+    st.sampled_from(sorted(FAULT_TARGETS) + ["bogus", ""]),
+    st.sampled_from(("0", "0.2", "1", "1.5", "-1", "x", "")),
+).map(":".join)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    spec=_spec_text,
+    trace=_csv_text,
+    check_opts=st.lists(
+        st.sampled_from((["--samples", "3"], ["--samples", "0"], ["--format", "json"], ["--format", "xml"])),
+        max_size=2,
+    ),
+    simulate=st.booleans(),
+    steps=st.integers(-3, 2000),
+    seed=st.integers(-5, 5),
+    fault=st.none() | _fault,
+)
+def test_fuzzed_cli_inputs_exit_zero_one_or_two(tmp_path, spec, trace, check_opts, simulate, steps, seed, fault):
+    if simulate:
+        argv = ["simulate", "--out", str(tmp_path / "sim.csv"), "--steps", str(steps), "--seed", str(seed)]
+        if fault is not None:
+            argv += ["--fault", fault]
+    else:
+        argv = [
+            "check",
+            "--spec", write(tmp_path / "s.prccsl", spec),
+            "--trace", write(tmp_path / "t.csv", trace),
+            *[arg for opt in check_opts for arg in opt],
+        ]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects usage errors this way
+        code = exc.code
+    assert code in (0, 1, 2)

@@ -16,7 +16,7 @@ def test_trace_basic_accessors():
     assert t.clocks == ("ms", "a")
     assert "a" in t and "zz" not in t
     assert t.tick_at("a", 0) and not t.tick_at("a", 1)
-    assert t.column("a") == [True, False, False]
+    assert t.dates("a") == [0]
     assert t.dates("ms") == [0, 1]
     assert [c for c in t.clocks if t.tick_at(c, 0)] == ["ms", "a"]
     assert [[c for c in t.clocks if t.tick_at(c, i)] for i in range(3)] == [["ms", "a"], ["ms"], []]

