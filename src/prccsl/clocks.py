@@ -10,9 +10,10 @@ it ticks.  The history at a clock's j-th tick (counting from 0) is then
 j, and h_c(i) is the number of dates below i, so expressions and
 relations work on these lists without visiting every step.
 
-The universal clock ``ms`` ticks at every step.  Traces may carry it as
-an ordinary column (the simulator does); consumers that need it when it
-is absent can synthesize it, since its tick function is fixed.
+The universal clock ``ms`` ticks at every step.  A trace carries it as
+an ordinary column (the simulator writes one); nothing synthesizes it,
+so a relation over ``ms`` on a trace without that column cannot be
+evaluated.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class Trace:
 
     Storage is one sorted list of tick steps per clock plus the length,
     so memory grows with the number of ticks, not with steps x clocks.
-    A trace is built by appending steps or from date lists and is
-    treated as read-only afterwards; instances are safe to share once
-    fully built.
+    A trace is built complete, by ``from_dates``, and never mutated
+    afterwards, so instances are safe to share.  ``Trace(clocks)`` is
+    the empty trace over a validated alphabet.
     """
 
     __slots__ = ("_clocks", "_dates", "_length")
@@ -63,19 +64,6 @@ class Trace:
         self._clocks: tuple[str, ...] = tuple(clocks)
         self._dates = dates
         self._length = 0
-
-    # -- construction -------------------------------------------------
-
-    def append(self, ticks: Iterable[str]) -> None:
-        """Add one step in which exactly the clocks in ``ticks`` tick."""
-        names = set(ticks)
-        unknown = names.difference(self._dates)
-        if unknown:
-            raise UnknownClockError(f"undeclared clock {min(unknown)!r}")
-        step = self._length
-        for name in names:
-            self._dates[name].append(step)
-        self._length = step + 1
 
     @classmethod
     def from_dates(
@@ -96,8 +84,6 @@ class Trace:
         trace._length = length
         return trace
 
-    # -- queries ------------------------------------------------------
-
     @property
     def clocks(self) -> tuple[str, ...]:
         return self._clocks
@@ -117,21 +103,3 @@ class Trace:
             return self._dates[clock]
         except KeyError:
             raise UnknownClockError(f"undeclared clock {clock!r}") from None
-
-    def tick_at(self, clock: str, step: int) -> bool:
-        """Return t_c(step) for a declared clock and 0 <= step < len."""
-        dates = self.dates(clock)
-        if not 0 <= step < self._length:
-            raise IndexError(f"step {step} out of range for trace of length {self._length}")
-        pos = bisect_left(dates, step)
-        return pos < len(dates) and dates[pos] == step
-
-    def history_at(self, clock: str, step: int) -> int:
-        """Return h_c(step): ticks of ``clock`` strictly before ``step``.
-
-        Defined for 0 <= step <= len (one past the final step).
-        """
-        dates = self.dates(clock)
-        if not 0 <= step <= self._length:
-            raise IndexError(f"step {step} out of range for trace of length {self._length}")
-        return bisect_left(dates, step)

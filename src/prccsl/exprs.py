@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
-from typing import Union
+from typing import Callable, Union
 
 from .clocks import Trace, validate_clock_name
 from .errors import DeclarationError, ExpressionError
@@ -94,23 +95,52 @@ class Sup:
 ClockExpr = Union[Ref, PeriodicOn, DelayFor, Inf, Sup]
 
 
+def _hash_once(field_hash: Callable[[ClockExpr], int]) -> Callable[[ClockExpr], int]:
+    def __hash__(self: ClockExpr) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    return __hash__
+
+
+# Definitions that reuse one another make an expression a DAG whose tree
+# form is exponentially large.  The dataclass hash walks that tree on
+# every call, so each node keeps its hash after the first, computed from
+# its operands' kept hashes.
+for _node in (Ref, PeriodicOn, DelayFor, Inf, Sup):
+    _node.__hash__ = _hash_once(_node.__hash__)  # type: ignore[method-assign]
+
+
 def _check_operand(value: object, role: str) -> None:
     if not isinstance(value, (Ref, PeriodicOn, DelayFor, Inf, Sup)):
         raise ExpressionError(f"{role} operand is not a clock expression: {value!r}")
 
 
 def clocks_of(expr: ClockExpr) -> frozenset[str]:
-    """All clock names referenced anywhere inside ``expr``."""
-    match expr:
-        case Ref(clock):
-            return frozenset((clock,))
-        case PeriodicOn(base, _):
-            return clocks_of(base)
-        case DelayFor(base, _, ref):
-            return clocks_of(base) | clocks_of(ref)
-        case Inf(left, right) | Sup(left, right):
-            return clocks_of(left) | clocks_of(right)
-    raise ExpressionError(f"not a clock expression: {expr!r}")
+    """All clock names referenced anywhere inside ``expr``.
+
+    Each distinct sub-expression is visited once, so shared operands
+    cost their own size, not the number of paths that reach them.
+    """
+
+    @cache
+    def names(node: ClockExpr) -> frozenset[str]:
+        match node:
+            case Ref(clock):
+                return frozenset((clock,))
+            case PeriodicOn(base, _):
+                return names(base)
+            case DelayFor(base, _, ref):
+                return names(base) | names(ref)
+            case Inf(left, right) | Sup(left, right):
+                return names(left) | names(right)
+        raise ExpressionError(f"not a clock expression: {node!r}")
+
+    return names(expr)
 
 
 def eval_expr(

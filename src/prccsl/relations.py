@@ -22,7 +22,6 @@ from operator import le
 from typing import Sequence, Union
 
 from .clocks import Trace
-from .errors import PrccslError
 from .exprs import ClockExpr, clocks_of, eval_expr
 
 __all__ = [
@@ -113,12 +112,8 @@ def check_relations(specs: Sequence[RelationSpec], trace: Trace) -> list[CheckRe
                 RelationError(spec.id, f"unknown clock(s) in trace: {', '.join(missing)}")
             )
             continue
-        try:
-            left = eval_expr(spec.left, trace, cache)
-            right = eval_expr(spec.right, trace, cache)
-        except PrccslError as exc:
-            results.append(RelationError(spec.id, str(exc)))
-            continue
+        left = eval_expr(spec.left, trace, cache)
+        right = eval_expr(spec.right, trace, cache)
         k, m = _count(spec.kind, left, right, spec.sample_size)
         results.append(_verdict(spec, k, m))
     return results

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .clocks import Trace
+from .clocks import UNIVERSAL_CLOCK, Trace
 from .errors import FaultTargetError
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 ALPHABET = (
-    "ms",
+    UNIVERSAL_CLOCK,
     "cmrTrig",
     "cmrOut",
     "signTrig",
@@ -208,7 +208,7 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         return rng[stream].randint(*interval)
 
     dates: dict[str, list[int]] = {name: [] for name in ALPHABET}
-    dates["ms"] = list(range(n))
+    dates[UNIVERSAL_CLOCK] = list(range(n))
     dates["signTrig"] = periodic(_SIGNREC_PERIOD, "periodic-R2")
     dates["obsDetect"] = periodic(_OBSTACLE_PERIOD, "periodic-R3")
     dates["spUpdate"] = periodic(_SPEED_PERIOD, "periodic-R4")

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .clocks import UNIVERSAL_CLOCK
 from .errors import SpecSyntaxError, SpecValidationError
 from .exprs import ClockExpr, DelayFor, Inf, PeriodicOn, Ref, Sup
 from .relations import RelationKind, RelationSpec
@@ -40,8 +41,6 @@ __all__ = [
     "pretty_print",
     "elaborate",
 ]
-
-UNIVERSAL = "ms"
 
 # Bound on expression nesting, so that the recursive parser, elaborator
 # and evaluator stay far inside Python's recursion limit.  It applies
@@ -190,7 +189,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         # flat namespace: name -> "clock" | "def" | "rel"
-        self.names: dict[str, str] = {UNIVERSAL: "clock"}
+        self.names: dict[str, str] = {UNIVERSAL_CLOCK: "clock"}
         # definition name -> node depth of its deepest leaf once inlined
         self.def_depths: dict[str, int] = {}
         self.open_parens = 0
@@ -522,6 +521,9 @@ def elaborate(spec: SpecFile) -> tuple[tuple[str, ...], list[RelationSpec]]:
     """
     defs = {definition.name: definition.expr for definition in spec.definitions}
     memo: dict[str, ClockExpr] = {}
+    # one object per distinct sub-expression: equal operands are then the
+    # same object, so comparing two nodes never walks a shared subtree
+    interned: dict[ClockExpr, ClockExpr] = {}
 
     def inline(expr: ClockExpr) -> ClockExpr:
         if isinstance(expr, Ref):
@@ -529,16 +531,18 @@ def elaborate(spec: SpecFile) -> tuple[tuple[str, ...], list[RelationSpec]]:
                 if expr.clock not in memo:
                     memo[expr.clock] = inline(defs[expr.clock])
                 return memo[expr.clock]
-            return expr
-        if isinstance(expr, PeriodicOn):
-            return PeriodicOn(inline(expr.base), expr.period)
-        if isinstance(expr, DelayFor):
-            return DelayFor(inline(expr.base), expr.delay, inline(expr.ref))
-        if isinstance(expr, Inf):
-            return Inf(inline(expr.left), inline(expr.right))
-        return Sup(inline(expr.left), inline(expr.right))
+            node = expr
+        elif isinstance(expr, PeriodicOn):
+            node = PeriodicOn(inline(expr.base), expr.period)
+        elif isinstance(expr, DelayFor):
+            node = DelayFor(inline(expr.base), expr.delay, inline(expr.ref))
+        elif isinstance(expr, Inf):
+            node = Inf(inline(expr.left), inline(expr.right))
+        else:
+            node = Sup(inline(expr.left), inline(expr.right))
+        return interned.setdefault(node, node)
 
-    alphabet = (UNIVERSAL, *(decl.name for decl in spec.clocks))
+    alphabet = (UNIVERSAL_CLOCK, *(decl.name for decl in spec.clocks))
     relations = [
         RelationSpec(
             id=rel.id,

@@ -70,7 +70,8 @@ def read_trace(source: Source) -> Trace:
     Raises TraceFormatError (with the 1-based line number) on a
     malformed header, a non-0/1 cell, a ragged row, a step index
     that does not match the row position, or a line the csv module
-    cannot parse.
+    cannot parse.  A UTF-8 byte order mark before the header is
+    skipped.
     """
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
@@ -85,34 +86,33 @@ def _read_rows(reader: Any) -> Trace:
         header = next(reader)
     except StopIteration:
         raise TraceFormatError("missing header row", 1) from None
-    if not header or header[0] != "step":
+    if not header or header[0].removeprefix("\ufeff") != "step":
         raise TraceFormatError("header must start with 'step'", 1)
+    clocks = header[1:]
     try:
-        trace = Trace(header[1:])
+        Trace(clocks)
     except DeclarationError as exc:
         raise TraceFormatError(f"bad header: {exc}", 1) from None
     width = len(header)
-    expected_step = 0
+    columns: list[list[int]] = [[] for _ in clocks]
+    step = 0
     for row in reader:
         line = reader.line_num
         if len(row) != width:
             raise TraceFormatError(
                 f"row has {len(row)} fields, expected {width}", line
             )
-        if row[0] != str(expected_step):
+        if row[0] != str(step):
             raise TraceFormatError(
-                f"non-consecutive step index {row[0]!r}, expected {expected_step}",
-                line,
+                f"non-consecutive step index {row[0]!r}, expected {step}", line
             )
-        ticks = []
-        for name, cell in zip(trace.clocks, row[1:]):
+        for dates, cell in zip(columns, row[1:]):
             if cell == "1":
-                ticks.append(name)
+                dates.append(step)
             elif cell != "0":
                 raise TraceFormatError("cell must be 0 or 1", line)
-        trace.append(ticks)
-        expected_step += 1
-    return trace
+        step += 1
+    return Trace.from_dates(clocks, step, dict(zip(clocks, columns)))
 
 
 def trace_to_string(trace: Trace) -> str:

@@ -96,9 +96,9 @@ def test_monitors_and_expressions_match_oracle_on_1000_random_traces():
 
 def test_seven_observations_six_successes_flip():
     # c1 ticks seven times; six of those steps see c2 tick as well
-    t = Trace(["c1", "c2"])
-    for a, b in [(1, 1)] * 6 + [(1, 0), (0, 0), (0, 1)]:
-        t.append({c for c, v in zip(("c1", "c2"), (a, b)) if v})
+    rows = [(1, 1)] * 6 + [(1, 0), (0, 0), (0, 1)]
+    dates = {c: [i for i, row in enumerate(rows) if row[col]] for col, c in enumerate(("c1", "c2"))}
+    t = Trace.from_dates(["c1", "c2"], len(rows), dates)
     mk = lambda tid, p: RelationSpec(tid, RelationKind.SUBCLOCK, Ref("c1"), Ref("c2"), Fraction(p))
     strict, loose = check_relations([mk("hi", "0.95"), mk("lo", "0.85")], t)
     assert (strict.k, strict.m) == (7, 6)
@@ -123,8 +123,8 @@ def test_expression_laws_hold_exactly():
         sup_ticks = set(eval_expr(Sup(Ref("x"), Ref("y")), t))
         hx = hy = hi = hs = 0
         for i in range(n):
-            hx += t.tick_at("x", i)
-            hy += t.tick_at("y", i)
+            hx += i in t.dates("x")
+            hy += i in t.dates("y")
             hi += i in inf_ticks
             hs += i in sup_ticks
             assert hi == max(hx, hy)

@@ -21,12 +21,8 @@ def write(path, text):
 
 
 def passing_trace(path):
-    t = Trace(["ms", "a", "b"])
-    for i in range(10):
-        ticks = {"ms"}
-        if i % 2 == 0:
-            ticks |= {"a", "b"}
-        t.append(ticks)
+    evens = range(0, 10, 2)
+    t = Trace.from_dates(["ms", "a", "b"], 10, {"ms": range(10), "a": evens, "b": evens})
     write_trace(t, path)
     return str(path)
 
@@ -54,9 +50,7 @@ def test_check_failing_relation_exits_one(tmp_path, capsys):
         tmp_path / "s.prccsl",
         "clock a\nclock b\nrel never: a coincides b prob >= 0.9\n",
     )
-    t = Trace(["ms", "a", "b"])
-    t.append({"ms", "a"})
-    t.append({"ms", "b"})
+    t = Trace.from_dates(["ms", "a", "b"], 2, {"ms": [0, 1], "a": [0], "b": [1]})
     path = tmp_path / "t.csv"
     write_trace(t, path)
     code = main(["check", "--spec", spec, "--trace", str(path), "--format", "json"])
@@ -68,8 +62,7 @@ def test_check_failing_relation_exits_one(tmp_path, capsys):
 
 def test_check_vacuous_exits_zero(tmp_path, capsys):
     spec = write(tmp_path / "s.prccsl", "clock a\nclock b\nrel v: a subclockof b prob >= 1\n")
-    t = Trace(["ms", "a", "b"])
-    t.append({"ms"})
+    t = Trace.from_dates(["ms", "a", "b"], 1, {"ms": [0]})
     path = tmp_path / "t.csv"
     write_trace(t, path)
     assert main(["check", "--spec", spec, "--trace", str(path)]) == 0
@@ -109,9 +102,7 @@ def test_check_missing_file_exits_two(tmp_path, capsys):
 
 def test_check_samples_cap(tmp_path, capsys):
     spec = write(tmp_path / "s.prccsl", "clock a\nrel r: a subclockof ms prob >= 1\n")
-    t = Trace(["ms", "a"])
-    for i in range(6):
-        t.append({"ms", "a"} if i < 3 else {"a"})
+    t = Trace.from_dates(["ms", "a"], 6, {"ms": range(3), "a": range(6)})
     path = tmp_path / "t.csv"
     write_trace(t, path)
     code = main(["check", "--spec", spec, "--trace", str(path), "--samples", "3", "--format", "json"])

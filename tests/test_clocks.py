@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 
 from prccsl import DeclarationError, Trace, UNIVERSAL_CLOCK, UnknownClockError
@@ -8,29 +10,23 @@ def test_universal_clock_name():
 
 
 def test_trace_basic_accessors():
-    t = Trace(["ms", "a"])
-    t.append({"ms", "a"})
-    t.append({"ms"})
-    t.append(set())
+    t = Trace.from_dates(["ms", "a"], 3, {"ms": [0, 1], "a": [0]})
     assert len(t) == 3
     assert t.clocks == ("ms", "a")
     assert "a" in t and "zz" not in t
-    assert t.tick_at("a", 0) and not t.tick_at("a", 1)
+    assert 0 in t.dates("a") and 1 not in t.dates("a")
     assert t.dates("a") == [0]
     assert t.dates("ms") == [0, 1]
-    assert [c for c in t.clocks if t.tick_at(c, 0)] == ["ms", "a"]
-    assert [[c for c in t.clocks if t.tick_at(c, i)] for i in range(3)] == [["ms", "a"], ["ms"], []]
+    assert [c for c in t.clocks if 0 in t.dates(c)] == ["ms", "a"]
+    assert [[c for c in t.clocks if i in t.dates(c)] for i in range(3)] == [["ms", "a"], ["ms"], []]
 
 
 def test_history_counts_strictly_earlier_ticks():
-    t = Trace(["a"])
-    for ticks in ({"a"}, set(), {"a"}):
-        t.append(ticks)
-    assert [t.history_at("a", i) for i in range(4)] == [0, 1, 1, 2]
-    with pytest.raises(IndexError):
-        t.history_at("a", 4)
-    with pytest.raises(IndexError):
-        t.tick_at("a", 3)
+    t = Trace.from_dates(["a"], 3, {"a": [0, 2]})
+    history = [sum(s in t.dates("a") for s in range(i)) for i in range(len(t) + 1)]
+    assert history == [0, 1, 1, 2]
+    # the history at a clock's j-th tick is j
+    assert [history[date] for date in t.dates("a")] == [0, 1]
 
 
 def test_duplicate_and_invalid_clock_names():
@@ -44,11 +40,9 @@ def test_duplicate_and_invalid_clock_names():
         Trace([""])
 
 
-def test_append_rejects_unknown_clock():
-    t = Trace(["a"])
+def test_from_dates_rejects_unknown_clock():
     with pytest.raises(UnknownClockError):
-        t.append({"a", "b"})
-    assert len(t) == 0 and t.dates("a") == []
+        Trace.from_dates(["a"], 2, {"a": [0], "b": [1]})
 
 
 def test_from_dates_clips_out_of_range():
@@ -64,14 +58,13 @@ def test_from_dates_unlisted_clock_is_silent():
 
 
 def test_history_at_matches_running_count():
-    t = Trace(["a", "b"])
-    for ticks in ({"a"}, {"a", "b"}, set(), {"b"}):
-        t.append(ticks)
+    # h_c(i), the ticks strictly before step i, is the number of dates below i
+    t = Trace.from_dates(["a", "b"], 4, {"a": [0, 1], "b": [1, 3]})
     h = {"a": 0, "b": 0}
     for i in range(len(t)):
-        assert t.history_at("a", i) == h["a"]
-        assert t.history_at("b", i) == h["b"]
+        assert bisect_left(t.dates("a"), i) == h["a"]
+        assert bisect_left(t.dates("b"), i) == h["b"]
         for clock in h:
-            h[clock] += t.tick_at(clock, i)
-    assert t.history_at("a", 4) == 2
-    assert t.history_at("b", 4) == 2
+            h[clock] += i in t.dates(clock)
+    assert bisect_left(t.dates("a"), 4) == 2
+    assert bisect_left(t.dates("b"), 4) == 2

@@ -79,7 +79,7 @@ def test_delay_for_output_is_subclock_of_ref():
         r = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
         t = build({"b": b, "r": r}, n)
         out = eval_expr(DelayFor(Ref("b"), rng.randrange(1, 5), Ref("r")), t)
-        assert all(t.tick_at("r", i) for i in out)
+        assert all(i in t.dates("r") for i in out)
 
 
 def test_inf_sup_worked_example():
@@ -111,8 +111,8 @@ def test_inf_sup_history_laws():
         for i in range(n):
             assert hi == max(h1, h2)
             assert hs == min(h1, h2)
-            h1 += t.tick_at("c1", i)
-            h2 += t.tick_at("c2", i)
+            h1 += i in t.dates("c1")
+            h2 += i in t.dates("c2")
             hi += i in inf_ticks
             hs += i in sup_ticks
         assert hi == max(h1, h2) and hs == min(h1, h2)

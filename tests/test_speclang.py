@@ -16,6 +16,9 @@ from prccsl import (
     SpecSyntaxError,
     SpecValidationError,
     Sup,
+    Trace,
+    check_relations,
+    clocks_of,
     elaborate,
     format_expr,
     format_threshold,
@@ -227,3 +230,18 @@ def test_elaborate_inlines_nested_definitions():
     _, (r,) = elaborate(parse(text))
     assert r.left == DelayFor(PeriodicOn(Ref("a"), 2), 1, Ref("ms"))
     assert r.sample_size is None
+
+
+def test_shared_definition_chain_is_checked():
+    # each level uses the one below twice: 60 nodes whose tree form has
+    # 2**60 leaves; e builds the same structure from its own definitions
+    lines = ["clock a", "def d0 = a", "def e0 = a"]
+    for i in range(1, 61):
+        lines += [f"def d{i} = inf(d{i - 1}, d{i - 1})", f"def e{i} = inf(e{i - 1}, e{i - 1})"]
+    lines += ["rel same: d60 coincides e60 prob >= 1", "rel sub: d60 subclockof a prob >= 1"]
+    alphabet, relations = elaborate(parse("\n".join(lines)))
+    trace = Trace.from_dates(alphabet, 10, {"a": [1, 4, 7]})
+    same, sub = check_relations(relations, trace)
+    assert (same.k, same.m, same.outcome) == (3, 3, "valid")
+    assert (sub.k, sub.m, sub.outcome) == (3, 3, "valid")
+    assert clocks_of(relations[0].left) == {"a"}

@@ -2,15 +2,20 @@ import io
 
 import pytest
 
-from prccsl import Trace, TraceFormatError, read_trace, trace_to_string, write_trace
+from prccsl import (
+    AVParams,
+    FaultSpec,
+    Trace,
+    TraceFormatError,
+    read_trace,
+    simulate_faulty,
+    trace_to_string,
+    write_trace,
+)
 
 
 def sample_trace() -> Trace:
-    t = Trace(["ms", "a", "b"])
-    t.append({"ms", "a"})
-    t.append({"ms"})
-    t.append({"ms", "a", "b"})
-    return t
+    return Trace.from_dates(["ms", "a", "b"], 3, {"ms": [0, 1, 2], "a": [0, 2], "b": [2]})
 
 
 CANONICAL = "step,ms,a,b\n0,1,1,0\n1,1,0,0\n2,1,1,1\n"
@@ -22,12 +27,17 @@ def test_write_canonical_bytes():
 
 def test_write_read_identity(tmp_path):
     path = tmp_path / "t.csv"
-    write_trace(sample_trace(), path)
-    back = read_trace(path)
-    assert back.clocks == ("ms", "a", "b")
-    original = sample_trace()
-    assert len(back) == len(original)
-    assert [back.dates(c) for c in back.clocks] == [original.dates(c) for c in original.clocks]
+    params = AVParams(seed=3, steps=5000)
+    for original in (
+        sample_trace(),
+        simulate_faulty(params, FaultSpec("exec-R7", 0.2)),
+        simulate_faulty(params, FaultSpec("periodic-R1", 1.0)),
+    ):
+        write_trace(original, path)
+        back = read_trace(path)
+        assert back.clocks == original.clocks
+        assert len(back) == len(original)
+        assert [back.dates(c) for c in back.clocks] == [original.dates(c) for c in original.clocks]
 
 
 def test_read_write_byte_identity():
@@ -68,7 +78,11 @@ def test_format_errors_carry_line_numbers(text, line, fragment):
     assert fragment in str(err.value)
 
 
-def test_crlf_input_accepted():
-    back = read_trace(io.StringIO("step,a\r\n0,1\r\n"))
-    assert back.dates("a") == [0]
-    assert trace_to_string(back) == "step,a\n0,1\n"
+def test_crlf_input_accepted(tmp_path):
+    path = tmp_path / "t.csv"
+    for text in ("step,a\r\n0,1\r\n", "\ufeffstep,a\n0,1\n"):
+        path.write_bytes(text.encode("utf-8"))
+        for source in (io.StringIO(text), path):
+            back = read_trace(source)
+            assert back.dates("a") == [0]
+            assert trace_to_string(back) == "step,a\n0,1\n"
