@@ -78,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--steps", type=int, help="override the corpus step count")
     verify.add_argument("--threshold", type=_threshold_arg, help="replace every relation threshold")
     verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--fault", type=_fault_arg, metavar="TARGET:RATE")
     verify.add_argument("--out", help="write the JSON report to this path")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     return parser
@@ -159,11 +160,13 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
     steps = args.steps
     if steps is None:
         steps = spec.settings.steps if spec.settings.steps is not None else _DEFAULT_STEPS
-    trace = simulate(AVParams(seed=args.seed, steps=steps))
+    params = AVParams(seed=args.seed, steps=steps)
+    trace = simulate(params) if args.fault is None else simulate_faulty(params, args.fault)
     results = check_relations(relations, trace)
+    fault = None if args.fault is None else f"{args.fault.target}:{args.fault.rate}"
     report = build_report(
         spec=f"{_BUNDLED_SPEC} (bundled)",
-        trace={"seed": args.seed, "steps": steps, "fault": None},
+        trace={"seed": args.seed, "steps": steps, "fault": fault},
         settings={
             "steps": steps,
             "samples": spec.settings.samples,

@@ -2,9 +2,14 @@
 
 Each monitor reduces a trace to two counters: k, the number of
 observation points, and m, the number of those that satisfy the
-relation.  The counts come from merging the two operands' date lists:
-at the j-th left date the left history is j and the right history is
-the number of right dates before it, so no step is visited on its own.
+relation.  The counts are closed forms over the two operands' sorted
+date lists, so no step is visited on its own.  At the j-th left date
+(from 0) the left history is j; the right history h2 is at most j iff
+fewer than j + 1 right dates lie before it, that is iff right[j] is at
+or after left[j] or right has at most j dates.  So causes counts
+sum(right[j] >= left[j]) + max(0, len(left) - len(right)), and precedes
+the same with ">", since a right tick on the date counts against it.
+Subclock, coincides and excludes count the shared dates of the lists.
 The verdict is a fixed-sample hypothesis test: the relation holds at
 threshold p iff m/k >= p, compared in exact rational arithmetic.  A
 monitor with a sample size N keeps only the first N observations in
@@ -13,12 +18,10 @@ step order, freezing its verdict once k reaches N.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from itertools import repeat
-from operator import le
+from operator import ge, gt
 from typing import Sequence, Union
 
 from .clocks import Trace
@@ -129,26 +132,25 @@ def _count(
     """
     if kind is RelationKind.COINCIDENCE or kind is RelationKind.EXCLUSION:
         # observations are the dates in the union of both lists
-        union = set(left).union(right)
-        k = len(union)
+        shorter, longer = sorted((left, right), key=len)
+        common = set(shorter).intersection(longer)
+        k = len(left) + len(right) - len(common)
         if cap is not None and k > cap:
-            cutoff = sorted(union)[cap - 1]
-            left = left[: bisect_right(left, cutoff)]
-            right = right[: bisect_right(right, cutoff)]
+            first = sorted(set(left).union(right))[:cap]
+            common = common.intersection(first)
             k = cap
-        both = len(left) + len(right) - k
+        both = len(common)
         return k, both if kind is RelationKind.COINCIDENCE else k - both
     # observations are the left dates; at the j-th one h1 = j
     if cap is not None:
         left = left[:cap]
     if kind is RelationKind.SUBCLOCK:
         return len(left), len(set(left).intersection(right))
-    # causality needs h1 >= h2, the right ticks strictly before the date;
-    # precedence also fails at h1 == h2 when the right ticks on the date,
-    # so it needs h1 >= the right ticks up to and including the date
-    count_right = bisect_left if kind is RelationKind.CAUSALITY else bisect_right
-    h2s = map(count_right, repeat(right), left)
-    return len(left), sum(map(le, h2s, range(len(left))))
+    # h2 <= j iff right has at most j dates or right[j] is at or after
+    # left[j]; precedes needs it strictly after, since a right tick on
+    # the date counts against it
+    beats = ge if kind is RelationKind.CAUSALITY else gt
+    return len(left), sum(map(beats, right, left)) + max(0, len(left) - len(right))
 
 
 def _verdict(spec: RelationSpec, k: int, m: int) -> Verdict:

@@ -17,6 +17,8 @@ import csv
 import io
 from bisect import bisect_left
 from contextlib import contextmanager
+from itertools import chain, compress, islice
+from operator import itemgetter, ne
 from os import PathLike
 from typing import IO, Any, Iterator, Union
 
@@ -27,7 +29,8 @@ __all__ = ["write_trace", "read_trace"]
 
 Source = Union[str, PathLike, IO[str]]
 
-_BLOCK_ROWS = 8192  # rows rendered per write; bounds the writer's buffer
+_BLOCK_ROWS = 8192  # rows rendered per write or checked per read; bounds buffers
+_CELL_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @contextmanager
@@ -65,7 +68,15 @@ def write_trace(trace: Trace, sink: Source) -> None:
 
 
 def read_trace(source: Source) -> Trace:
-    """Parse a trace CSV, validating structure cell by cell.
+    """Parse a trace CSV, validating its structure.
+
+    The body is read ``_BLOCK_ROWS`` lines at a time.  A block of
+    canonical rows (exactly ``str(step)`` then ``",0"`` or ``",1"`` per
+    clock and a newline, as ``write_trace`` renders them) is accepted
+    by whole-block string checks and its ticks are found with
+    ``str.find``.  The first block that is not canonical, and every
+    line after it, goes through ``csv.reader`` row by row, which
+    handles quoting and CRLF line ends and raises every format error.
 
     Raises TraceFormatError (with the 1-based line number) on a
     malformed header, a non-0/1 cell, a ragged row, a step index
@@ -76,12 +87,26 @@ def read_trace(source: Source) -> Trace:
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         try:
-            return _read_rows(reader)
+            clocks = _read_header(reader)
         except csv.Error as exc:
             raise TraceFormatError(str(exc), reader.line_num) from None
+        header_lines = reader.line_num
+        columns: list[list[int]] = [[] for _ in clocks]
+        step = 0
+        while block := list(islice(handle, _BLOCK_ROWS)):
+            if not _take_block(block, step, columns):
+                offset = header_lines + step
+                reader = csv.reader(chain(block, handle))
+                try:
+                    step = _read_rows(reader, step, offset, columns)
+                except csv.Error as exc:
+                    raise TraceFormatError(str(exc), offset + reader.line_num) from None
+                break
+            step += len(block)
+    return Trace.from_dates(clocks, step, dict(zip(clocks, columns)))
 
 
-def _read_rows(reader: Any) -> Trace:
+def _read_header(reader: Any) -> list[str]:
     try:
         header = next(reader)
     except StopIteration:
@@ -93,11 +118,50 @@ def _read_rows(reader: Any) -> Trace:
         Trace(clocks)
     except DeclarationError as exc:
         raise TraceFormatError(f"bad header: {exc}", 1) from None
-    width = len(header)
-    columns: list[list[int]] = [[] for _ in clocks]
-    step = 0
+    return clocks
+
+
+def _take_block(lines: list[str], step: int, columns: list[list[int]]) -> bool:
+    """Add the ticks of ``lines`` to ``columns`` if every line is canonical.
+
+    Returns False, leaving ``columns`` unchanged, when any line is not
+    exactly its step index followed by one ",0" or ",1" per column and
+    a newline.
+    """
+    n = len(lines)
+    width = 2 * len(columns) + 1
+    if any(map(ne, map(itemgetter(slice(None, -width)), lines), map(str, range(step, step + n)))):
+        return False
+    text = "".join(map(itemgetter(slice(-width, None)), lines))
+    if len(text) != n * width or text[width - 1::width].count("\n") != n:
+        return False
+    cells = []
+    for col in range(len(columns)):
+        vals = text[2 * col + 1::width]
+        ones = vals.count("1")
+        if text[2 * col::width].count(",") != n or vals.count("0") + ones != n:
+            return False
+        cells.append((vals, ones))
+    for dates, (vals, ones) in zip(columns, cells):
+        if 16 * ones > n:
+            dates.extend(compress(range(step, step + n), vals.encode().translate(_CELL_BITS)))
+            continue
+        pos = vals.find("1")
+        while pos >= 0:
+            dates.append(step + pos)
+            pos = vals.find("1", pos + 1)
+    return True
+
+
+def _read_rows(reader: Any, step: int, lines_before: int, columns: list[list[int]]) -> int:
+    """Add the ticks of the rows ``reader`` yields from ``step`` on.
+
+    Returns the step count at the end.  ``lines_before`` is the number
+    of file lines before the reader's first, for error line numbers.
+    """
+    width = len(columns) + 1
     for row in reader:
-        line = reader.line_num
+        line = lines_before + reader.line_num
         if len(row) != width:
             raise TraceFormatError(
                 f"row has {len(row)} fields, expected {width}", line
@@ -112,7 +176,7 @@ def _read_rows(reader: Any) -> Trace:
             elif cell != "0":
                 raise TraceFormatError("cell must be 0 or 1", line)
         step += 1
-    return Trace.from_dates(clocks, step, dict(zip(clocks, columns)))
+    return step
 
 
 def trace_to_string(trace: Trace) -> str:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -189,6 +190,16 @@ def test_verify_av_threshold_one_flips_jittered_relations(capsys):
     assert by_id["R18"]["m"] < by_id["R18"]["k"]
     assert by_id["R1"]["outcome"] == "valid"
     assert by_id["R27"]["outcome"] == "valid"
+
+
+def test_verify_av_fault_fails_its_golden_relations(capsys):
+    golden = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text())
+    code = main(["verify-av", "--seed", "42", "--fault", "exec-R7:1.0", "--format", "json"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["trace"] == {"seed": 42, "steps": golden["steps"], "fault": "exec-R7:1.0"}
+    not_valid = [r["id"] for r in report["relations"] if r["outcome"] != "valid"]
+    assert not_valid == golden["faults"]["exec-R7"]["1.0"]
 
 
 def test_verify_av_short_run_reports_vacuous(capsys):

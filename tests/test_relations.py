@@ -135,6 +135,51 @@ def test_sample_cap_keeps_first_union_ticks_in_step_order():
     assert (run(RelationKind.EXCLUSION, rows, sample_size=9).k) == 5
 
 
+C, P = RelationKind.CAUSALITY, RelationKind.PRECEDENCE
+
+
+@pytest.mark.parametrize(
+    "a,b,cap,expected",
+    [
+        # right longer: at 1 h1 = h2 = 0 but b ticks too; at 4 and 6 h2 = 3
+        ([1, 4, 6], [1, 2, 3, 7, 8], None, {C: (3, 1), P: (3, 0)}),
+        # right shorter: at 3, 4, 5 h2 = 3 > h1; at 6 h1 = h2 = 3, b silent
+        ([3, 4, 5, 6], [0, 1, 2], None, {C: (4, 1), P: (4, 1)}),
+        # equal lengths: at 3 h1 = h2 = 1 with b ticking; at 5 h2 = 3 > 2
+        ([1, 3, 5], [2, 3, 4], None, {C: (3, 2), P: (3, 1)}),
+        # empty right: h2 = 0 at every left tick
+        ([0, 4, 9], [], None, {C: (3, 3), P: (3, 3)}),
+        # same dates: h1 = h2 at each tick and b ticks on it
+        ([1, 4, 7], [1, 4, 7], None, {C: (3, 3), P: (3, 0)}),
+        # cap 2 < len(right) = 3 keeps the failing ticks at 3 and 4 only
+        ([3, 4, 5, 6], [0, 1, 2], 2, {C: (2, 0), P: (2, 0)}),
+        # cap 4 > len(right) keeps all four left ticks
+        ([3, 4, 5, 6], [0, 1, 2], 4, {C: (4, 1), P: (4, 1)}),
+    ],
+)
+def test_causes_and_precedes_by_operand_lengths(a, b, cap, expected):
+    t = Trace.from_dates(["a", "b"], 10, {"a": a, "b": b})
+    for kind, counts in expected.items():
+        (r,) = check_relations([spec(kind, sample_size=cap)], t)
+        assert (r.k, r.m) == counts, kind
+
+
+def test_set_relations_by_operand_lengths():
+    # (a, b, subclock, coincides, excludes), counted from the table:
+    # subclock over a's ticks, the other two over ticks of either
+    cases = [
+        ([1, 4, 6], [1, 2, 3, 7, 8], (3, 1), (7, 1), (7, 6)),
+        ([1, 2, 3, 7, 8], [1, 4, 6], (5, 1), (7, 1), (7, 6)),
+        ([0, 4, 9], [], (3, 0), (3, 0), (3, 3)),
+        ([1, 4, 7], [1, 4, 7], (3, 3), (3, 3), (3, 0)),
+    ]
+    for a, b, *expected in cases:
+        t = Trace.from_dates(["a", "b"], 10, {"a": a, "b": b})
+        kinds = [RelationKind.SUBCLOCK, RelationKind.COINCIDENCE, RelationKind.EXCLUSION]
+        results = check_relations([spec(kind) for kind in kinds], t)
+        assert [(r.k, r.m) for r in results] == expected, (a, b)
+
+
 def test_missing_clock_becomes_relation_error():
     t = Trace.from_dates(["a"], 1, {"a": [0]})
     (r,) = check_relations([spec(RelationKind.SUBCLOCK, right="nope")], t)

@@ -12,6 +12,7 @@ from prccsl import (
     trace_to_string,
     write_trace,
 )
+from prccsl.traceio import _BLOCK_ROWS
 
 
 def sample_trace() -> Trace:
@@ -86,3 +87,64 @@ def test_crlf_input_accepted(tmp_path):
             back = read_trace(source)
             assert back.dates("a") == [0]
             assert trace_to_string(back) == "step,a\n0,1\n"
+
+
+def block_trace(steps: int) -> Trace:
+    dates = {"ms": range(steps), "a": range(0, steps, 3), "b": range(5, steps, 4000)}
+    return Trace.from_dates(["ms", "a", "b"], steps, dates)
+
+
+@pytest.mark.parametrize("steps", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_round_trip_at_block_boundaries(tmp_path, steps):
+    original = block_trace(steps)
+    text = trace_to_string(original)
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        back = read_trace(source)
+        assert len(back) == steps
+        assert [back.dates(c) for c in back.clocks] == [original.dates(c) for c in original.clocks]
+        assert trace_to_string(back) == text
+
+
+def edit_line(text: str, line: int, new: str) -> str:
+    lines = text.split("\n")
+    lines[line - 1] = new
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        ("{s},1,2,0", "must be 0 or 1"),
+        ("{s}9,1,0,0", "non-consecutive step index"),
+        ("{s};1;0;0", "row has 1 fields"),
+    ],
+)
+def test_errors_in_second_block_carry_absolute_line(row, fragment):
+    line = _BLOCK_ROWS + 5
+    text = edit_line(trace_to_string(block_trace(2 * _BLOCK_ROWS)), line, row.format(s=line - 2))
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(io.StringIO(text))
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
+def test_quoting_crlf_and_missing_final_newline_in_second_block():
+    canonical = trace_to_string(block_trace(_BLOCK_ROWS + 20))
+    line = _BLOCK_ROWS + 5
+    row = canonical.split("\n")[line - 1]
+    quoted = edit_line(canonical, line, row.replace(",1", ',"1"', 1))  # ms ticks on every step
+    crlf = edit_line(canonical, line, row + "\r")
+    assert '"1"' in quoted and "\r" in crlf
+    for text in (quoted, crlf, canonical.removesuffix("\n")):
+        back = read_trace(io.StringIO(text))
+        assert trace_to_string(back) == canonical
+
+
+def test_extra_character_on_last_row_without_newline():
+    text = trace_to_string(block_trace(_BLOCK_ROWS + 3)).removesuffix("\n") + "x"
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(io.StringIO(text))
+    assert err.value.line == _BLOCK_ROWS + 4
+    assert "must be 0 or 1" in str(err.value)
