@@ -7,26 +7,27 @@ the bundled requirement corpus in one go.
 Exit codes: 0 when every checked relation is valid or vacuous, 1 when
 any relation fails its threshold, 2 on usage, parse, trace-format, or
 per-relation evaluation errors.
+
+Each subcommand imports only the modules it runs: ``simulate`` loads
+the simulator and the CSV writer but not the spec language, the
+engine or the report; ``check`` does not load the simulator and
+``verify-av`` does not load the CSV reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 import time
-from fractions import Fraction
-from importlib import resources
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import PrccslError
-from .relations import CheckResult, RelationError, RelationSpec
-from .relations import check_relations
-from .report import build_report, render_text
-from .simulator import AVParams, FaultSpec, simulate, simulate_faulty
-from .speclang import elaborate, parse
-from .traceio import read_trace, write_trace
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .relations import CheckResult, RelationSpec
+    from .simulator import FaultSpec
 
 __all__ = ["main"]
 
@@ -35,6 +36,8 @@ _DEFAULT_STEPS = 60000
 
 
 def _fault_arg(text: str) -> FaultSpec:
+    from .simulator import FaultSpec
+
     target, sep, rate = text.rpartition(":")
     if not sep or not target:
         raise argparse.ArgumentTypeError("expected TARGET:RATE")
@@ -45,6 +48,8 @@ def _fault_arg(text: str) -> FaultSpec:
 
 
 def _threshold_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -85,6 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict[str, Any], args: argparse.Namespace) -> None:
+    import json
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
@@ -92,10 +99,14 @@ def _emit(report: dict[str, Any], args: argparse.Namespace) -> None:
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
+        from .report import render_text
+
         print(render_text(report), end="")
 
 
 def _exit_code(results: list[CheckResult]) -> int:
+    from .relations import RelationError
+
     if any(isinstance(result, RelationError) for result in results):
         return 2
     if any(result.outcome == "fail" for result in results):
@@ -108,6 +119,8 @@ def _override(
     samples: int | None = None,
     threshold: Fraction | None = None,
 ) -> list[RelationSpec]:
+    import dataclasses
+
     out = specs
     if samples is not None:
         out = [dataclasses.replace(spec, sample_size=samples) for spec in out]
@@ -117,6 +130,11 @@ def _override(
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .relations import check_relations
+    from .report import build_report
+    from .speclang import elaborate, parse
+    from .traceio import read_trace
+
     started = time.perf_counter()
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = parse(handle.read())
@@ -139,6 +157,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import AVParams, simulate, simulate_faulty
+    from .traceio import write_trace
+
     params = AVParams(seed=args.seed, steps=args.steps)
     if args.fault is None:
         trace = simulate(params)
@@ -152,6 +173,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_av(args: argparse.Namespace) -> int:
+    from importlib import resources
+
+    from .relations import check_relations
+    from .report import build_report
+    from .simulator import AVParams, simulate, simulate_faulty
+    from .speclang import elaborate, parse
+
     started = time.perf_counter()
     text = resources.files("prccsl").joinpath("data").joinpath(_BUNDLED_SPEC).read_text("utf-8")
     spec = parse(text)

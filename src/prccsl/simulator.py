@@ -30,7 +30,7 @@ adding a new stochastic source does not perturb the existing ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clocks import UNIVERSAL_CLOCK, Trace
 from .errors import FaultTargetError
@@ -142,24 +142,25 @@ _STREAMS = (
 )
 
 
-@dataclass(frozen=True)
-class AVParams:
-    """Seed and length of one run of the vehicle model."""
+class AVParams(namedtuple("AVParams", "seed steps")):
+    """Seed and length of one run of the vehicle model (a named tuple)."""
 
-    seed: int = 42
-    steps: int = 60000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.steps < 0:
+    def __new__(cls, seed: int = 42, steps: int = 60000) -> AVParams:
+        if steps < 0:
             raise ValueError("steps must be nonnegative")
+        return super().__new__(cls, seed, steps)
+
+    @classmethod
+    def _make(cls, iterable) -> AVParams:  # so that _replace checks steps too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """A requirement family to violate and the per-occurrence rate."""
+class FaultSpec(namedtuple("FaultSpec", "target rate")):
+    """A requirement family to violate and the per-occurrence rate (a named tuple)."""
 
-    target: str
-    rate: float
+    __slots__ = ()
 
 
 def simulate(params: AVParams) -> Trace:

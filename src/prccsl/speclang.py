@@ -23,6 +23,7 @@ as exact rationals.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -128,12 +129,8 @@ class SpecFile:
 # -- tokenizer ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    type: str  # "kw" | "ident" | "number" | "sym" | "eof"
-    text: str
-    line: int
-    column: int
+# type is "kw" | "ident" | "number" | "sym" | "eof"
+_Token = namedtuple("_Token", "type text line column")
 
 
 _TOKEN_RE = re.compile(

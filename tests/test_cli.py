@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prccsl import FAULT_TARGETS, Trace, write_trace
+from prccsl import FAULT_TARGETS, AVParams, Trace, simulate, write_trace
 from prccsl.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PASSING_SPEC = """\
 clock a
@@ -231,6 +236,58 @@ def test_bad_parameter_values_exit_two(tmp_path, capsys):
     trace = passing_trace(tmp_path / "t2.csv")
     assert main(["check", "--spec", spec, "--trace", trace, "--samples", "0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# Runs main() on its arguments (none: import only) in a fresh interpreter
+# and prints the exit code and the sorted names in sys.modules.
+_PROBE = """\
+import sys
+from prccsl.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(sys.modules))
+"""
+
+
+def loaded_modules(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, *modules = run.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_importing_cli_loads_no_subcommand_module():
+    _, modules = loaded_modules([])
+    assert {m for m in modules if m.startswith("prccsl")} == {"prccsl", "prccsl.cli", "prccsl.errors"}
+
+
+@pytest.mark.parametrize(
+    "command, needed, not_loaded",
+    [
+        ("simulate", {"prccsl.simulator", "prccsl.traceio"},
+         {"prccsl.speclang", "prccsl.exprs", "prccsl.relations", "prccsl.report",
+          "dataclasses", "json", "fractions"}),
+        ("check", {"prccsl.speclang", "prccsl.traceio", "prccsl.relations"}, {"prccsl.simulator"}),
+        ("verify-av", {"prccsl.speclang", "prccsl.simulator", "prccsl.relations"},
+         {"prccsl.traceio", "csv"}),
+    ],
+)
+def test_each_subcommand_imports_only_its_own_modules(tmp_path, command, needed, not_loaded):
+    steps = 200
+    csv_path = tmp_path / "t.csv"
+    write_trace(simulate(AVParams(seed=1, steps=steps)), csv_path)
+    argv = {
+        "simulate": ["simulate", "--steps", str(steps), "--fault", "exec-R7:0.2",
+                     "--out", str(tmp_path / "out.csv")],
+        "check": ["check", "--spec", str(SRC / "prccsl" / "data" / "av_requirements.prccsl"),
+                  "--trace", str(csv_path), "--format", "json"],
+        "verify-av": ["verify-av", "--steps", str(steps), "--threshold", "0.5"],
+    }[command]
+    code, modules = loaded_modules(argv)
+    assert code in (0, 1)
+    assert needed <= modules
+    assert not_loaded.isdisjoint(modules), sorted(not_loaded & modules)
 
 
 def test_usage_error_exits_two():

@@ -166,6 +166,26 @@ def test_turn_activity_has_phase_lengths(trace):
 def test_params_validation():
     with pytest.raises(ValueError):
         AVParams(steps=-1)
+    with pytest.raises(ValueError):
+        AVParams(0, -1)
+    with pytest.raises(ValueError):
+        AVParams()._replace(steps=-1)
+
+
+def test_params_and_fault_are_value_typed_named_tuples():
+    params = AVParams()
+    assert (params.seed, params.steps) == (42, 60000)
+    assert AVParams(7, 100) == AVParams(steps=100, seed=7) == (7, 100)
+    assert AVParams(7, 100) != AVParams(7, 101)
+    assert hash(AVParams(7, 100)) == hash(AVParams(seed=7, steps=100))
+    assert repr(AVParams(7, 100)) == "AVParams(seed=7, steps=100)"
+    fault = FaultSpec("exec-R7", 0.2)
+    assert fault == FaultSpec(target="exec-R7", rate=0.2) == ("exec-R7", 0.2)
+    assert hash(fault) == hash(FaultSpec(rate=0.2, target="exec-R7"))
+    assert repr(fault) == "FaultSpec(target='exec-R7', rate=0.2)"
+    for value, field in ((params, "seed"), (params, "steps"), (fault, "target"), (fault, "rate")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
 
 
 def test_fault_validation():
