@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DeclarationError, UnknownClockError
@@ -73,13 +74,15 @@ class Trace:
 
         Dates outside [0, length) are ignored and repeated dates count
         once, so schedules may be generated in any order without
-        worrying about the trace boundary.
+        worrying about the trace boundary.  The trace keeps its own copy.
         """
         trace = cls(clocks)
         for name, steps in dates.items():
             if name not in trace._dates:
                 raise UnknownClockError(f"undeclared clock {name!r}")
-            kept = sorted(set(steps))
+            kept = list(steps)
+            if not all(map(lt, kept, kept[1:])):
+                kept = sorted(set(kept))
             trace._dates[name] = kept[bisect_left(kept, 0):bisect_left(kept, length)]
         trace._length = length
         return trace

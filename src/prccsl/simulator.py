@@ -219,13 +219,12 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
 
     in_ports = ("speed", "direct", "gear", "torque")
     out_ports = ("reqTorq", "reqDirec", "reqGear", "reqBrake")
-    prev: dict[str, int] = {}
 
     def emit(clock: str, at: int) -> int:
         """Append a tick, clamped to keep the clock strictly monotone."""
-        at = max(prev.get(clock, -1) + 1, at)
-        prev[clock] = at
-        dates[clock].append(at)
+        ticks = dates[clock]
+        at = ticks[-1] + 1 if ticks and ticks[-1] >= at else at
+        ticks.append(at)
         return at
 
     commands: list[tuple[int, int, str]] = []  # (step, priority, action)

@@ -45,26 +45,44 @@ def _opened(target: Source, mode: str) -> Iterator[IO[str]]:
 def write_trace(trace: Trace, sink: Source) -> None:
     """Write ``trace`` as canonical CSV to a path or text stream.
 
-    Rows are rendered a block at a time straight from the date lists:
-    a block starts as all-"0" cells and only its ticks become "1".
+    Rows go out in segments of at most ``_BLOCK_ROWS`` rows that never
+    cross a power of ten, so all rows of a segment have one width.  In a
+    segment's buffer of "0" cells, each step digit position is one strided
+    assignment of its repeating digit pattern, and so is "1" for a clock
+    ticking on every row; other ticks are set a byte each.
     """
     clocks = trace.clocks
-    width = 2 * len(clocks) + 1  # ",0" per clock, then the newline
-    blank_row = b",0" * len(clocks) + b"\n"
-    n = len(trace)
     with _opened(sink, "w") as out:
         out.write(",".join(("step", *clocks)) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            cells = bytearray(blank_row * (stop - start))
-            for col, clock in enumerate(clocks):
-                dates = trace.dates(clock)
-                offset = 2 * col + 1 - start * width
-                for step in dates[bisect_left(dates, start):bisect_left(dates, stop)]:
+        start = 0
+        while start < len(trace):
+            digits = len(str(start))
+            stop = min(start + _BLOCK_ROWS, len(trace), 10**digits)
+            width = digits + 2 * len(clocks) + 1  # the step, ",0" per clock, "\n"
+            cells = bytearray((b"0" * digits + b",0" * len(clocks) + b"\n") * (stop - start))
+            for pos in range(digits):
+                cells[pos::width] = _digit_column(start, stop, 10 ** (digits - 1 - pos))
+            for offset, dates in zip(range(digits + 1, width, 2), map(trace.dates, clocks)):
+                lo, hi = bisect_left(dates, start), bisect_left(dates, stop)
+                if hi - lo == stop - start:
+                    cells[offset::width] = b"1" * (stop - start)
+                    continue
+                offset -= start * width
+                for step in dates[lo:hi]:
                     cells[step * width + offset] = 49  # ord("1")
-            text = cells.decode("ascii")
-            rows = range(stop - start)
-            out.write("".join([f"{start + r}{text[r * width:(r + 1) * width]}" for r in rows]))
+            out.write(cells.decode("ascii"))
+            start = stop
+
+
+def _digit_column(start: int, stop: int, unit: int) -> bytes:
+    """The ASCII digit at place value ``unit`` of each step in [start, stop)."""
+    if 10 * unit <= stop - start:  # whole cycles "0..01..1...9..9": tile one
+        cycle = b"".join(b"%d" % d * unit for d in range(10))
+        return (cycle * ((stop - start) // len(cycle) + 2))[start % len(cycle):][:stop - start]
+    return b"".join(  # at most eleven runs, one per value of step // unit
+        b"%d" % (q % 10) * (min(stop, q * unit + unit) - max(start, q * unit))
+        for q in range(start // unit, (stop - 1) // unit + 1)
+    )
 
 
 def read_trace(source: Source) -> Trace:

@@ -1,6 +1,8 @@
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prccsl import DeclarationError, Trace, UNIVERSAL_CLOCK, UnknownClockError
 
@@ -68,3 +70,37 @@ def test_history_at_matches_running_count():
             h[clock] += i in t.dates(clock)
     assert bisect_left(t.dates("a"), 4) == 2
     assert bisect_left(t.dates("b"), 4) == 2
+
+
+def test_from_dates_sorts_dedupes_clips_and_copies():
+    unsorted = [5, 1, 3, 1, -2, 7, 3, 9, 0]
+    increasing = [0, 2, 4]
+    t = Trace.from_dates(
+        ["a", "b", "c", "d", "e", "f"],
+        6,
+        {
+            "a": unsorted,
+            "b": range(-3, 10, 2),
+            "c": (s for s in (4, 0, 0, 2)),
+            "d": increasing,
+            "e": [-1, 6, 100, -7],
+            "f": [1, 1, 2, 4, 4],
+        },
+    )
+    assert t.dates("a") == [0, 1, 3, 5]
+    assert t.dates("b") == [1, 3, 5]
+    assert t.dates("c") == [0, 2, 4]
+    assert t.dates("d") == [0, 2, 4]
+    assert t.dates("e") == []
+    assert t.dates("f") == [1, 2, 4]
+    unsorted[:] = [2]
+    increasing.append(5)
+    increasing[0] = 1
+    assert t.dates("a") == [0, 1, 3, 5]
+    assert t.dates("d") == [0, 2, 4]
+
+
+@given(st.integers(0, 20), st.lists(st.integers(-5, 25), max_size=20))
+def test_from_dates_keeps_each_in_range_date_once_in_order(length, steps):
+    t = Trace.from_dates(["a"], length, {"a": steps})
+    assert t.dates("a") == sorted({s for s in steps if 0 <= s < length})

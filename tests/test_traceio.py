@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prccsl import (
     AVParams,
@@ -148,3 +150,43 @@ def test_extra_character_on_last_row_without_newline():
         read_trace(io.StringIO(text))
     assert err.value.line == _BLOCK_ROWS + 4
     assert "must be 0 or 1" in str(err.value)
+
+
+def naive_csv(trace: Trace) -> str:
+    """Row-by-row rendering that shares no code with ``write_trace``."""
+    ticks = [set(trace.dates(c)) for c in trace.clocks]
+    rows = [f"{i}," + ",".join("1" if i in t else "0" for t in ticks) + "\n" for i in range(len(trace))]
+    return "step," + ",".join(trace.clocks) + "\n" + "".join(rows)
+
+
+# around powers of ten (where the step column widens) and segment ends
+WRITER_SIZES = [0, 1, 9, 10, 11, 99, 100, 999, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+WRITER_SIZES += [9999, 10000, 10001, 2 * _BLOCK_ROWS, 100001]
+
+
+@st.composite
+def writer_traces(draw, sizes):
+    n = draw(sizes)
+    dates = {"always": range(n), "never": [], "last": [n - 1]}
+    for name in draw(st.lists(st.sampled_from("abc"), unique=True)):
+        if draw(st.booleans()):
+            dates[name] = range(draw(st.integers(0, 20)), n, draw(st.integers(1, 50)))
+        else:
+            dates[name] = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=30))
+    return Trace.from_dates(list(dates), n, dates)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [st.just(n) for n in WRITER_SIZES] + [st.integers(0, 60)],
+    ids=[str(n) for n in WRITER_SIZES] + ["small"],
+)
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_writer_matches_naive_rendering(tmp_path, sizes, data):
+    trace = data.draw(writer_traces(sizes))
+    expected = naive_csv(trace)
+    assert trace_to_string(trace) == expected
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    assert path.read_bytes() == expected.encode("ascii")
