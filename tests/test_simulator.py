@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 
 from prccsl import (
@@ -225,3 +227,27 @@ def test_empty_and_tiny_traces():
     tiny = simulate(AVParams(steps=1, seed=1))
     assert tiny.dates("ms") == [0]
     assert tiny.dates("cmrTrig") == [0]
+
+
+def test_controller_invariants_across_seeds():
+    for seed in range(20):
+        for steps in (0, 1, 999, 7000, 60000):
+            t = simulate(AVParams(seed=seed, steps=steps))
+            case = (seed, steps)
+            turn_left, right_on = t.dates("turnLeft"), t.dates("rightOn")
+            assert not set(turn_left) & set(right_on), case
+            activity = sorted(turn_left + right_on)
+            recoveries = t.dates("veRun")
+            for i, entry in enumerate(t.dates("emgcy")):
+                end = recoveries[i] if i < len(recoveries) else steps
+                assert bisect_left(activity, entry) == bisect_left(activity, end), (case, entry)
+            assert set(t.dates("tLeft")) <= set(recoveries), case
+            assert set(t.dates("tRight")) <= set(recoveries), case
+            for clock, starts in (
+                ("turnLeft", ("startTurnLeft", "tLeft")),
+                ("rightOn", ("startTurnRight", "tRight")),
+            ):
+                allowed = set(t.dates(starts[0])) | set(t.dates(starts[1]))
+                dates = t.dates(clock)
+                run_starts = [d for i, d in enumerate(dates) if i == 0 or dates[i - 1] != d - 1]
+                assert set(run_starts) <= allowed, (case, clock)
