@@ -12,12 +12,18 @@ vehicle dynamics [50,100]) and each emitted clock is clamped to stay
 strictly monotone; the clamp never pushes a latency outside its window
 because consecutive anchors are at least one step apart.
 
-Recognized sign types drive start-of-action events within their
-deadlines; obstacle detections open emergency episodes during which
-mode transitions are disabled for the sporadic dwell, with the
-run/accelerate/turn re-entry events emitted only after it.  Activity
-clocks (turnLeft, rightOn) tick on every step of their phase while the
-controller is in Normal mode.
+Recognized sign types drive start-of-action commands within their
+deadlines, which the controller replays in step order:
+
+* a turn command starts a turn of drawn length whose activity clock
+  (turnLeft, rightOn) ticks on every step until it ends or the next
+  command (a turn, or a stop sign's brake) ends it; Stop changes nothing;
+* an obstacle opens an emergency that silences the activity clocks and
+  drops commands for the sporadic dwell; at recovery a turn whose drawn
+  end is still ahead resumes and ticks its re-entry clock (tLeft, tRight);
+* same-step order is entry, recovery, command, so a command at a
+  re-entry step can end the resumed turn at once, leaving that re-entry
+  tick with no activity tick.
 
 The model timing is fixed and matches the bundled corpus: trigger
 periods 50/200/40/30 (R1-R4), the execution windows above, a 500 ms
@@ -105,8 +111,16 @@ _OUTPUT_SYNC_WINDOW = 30  # controller output ports leave within this window
 _START_LATENCY = (100, 400)  # sign detection -> start-of-action command
 _BRAKE_TO_STOP = (400, 2000)  # startBrake -> standstill
 _TURN_DURATION = (800, 2000)  # length of a turn phase
-_STOP_DURATION = (200, 500)  # standstill before re-accelerating
 _RECOVERY_JITTER = 49  # dwell overshoot before mode re-entry
+
+# sign types 0..2: (detection clock, start-of-action clock, command)
+_MANEUVERS = (
+    ("DetectLeftSign", "startTurnLeft", "turnLeft"),
+    ("DetectRightSign", "startTurnRight", "turnRight"),
+    ("DetectStopSign", "startBrake", "dec"),
+)
+# turn command -> (activity clock, re-entry clock)
+_TURN_CLOCKS = {"turnLeft": ("turnLeft", "tLeft"), "turnRight": ("rightOn", "tRight")}
 
 # fault families: periodic triggers get displaced by 1..jitter steps,
 # execution latencies get stretched beyond their upper bound
@@ -137,7 +151,6 @@ _STREAMS = (
     "obstacle",
     "recovery",
     "turn-duration",
-    "stop-duration",
     "fault",
 )
 
@@ -193,15 +206,11 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         )
 
     def periodic(period: int, family: str) -> list[int]:
-        dates = []
-        step = 0
-        while step < n:
-            date = step
-            if hit(family):
-                date += fault_rng.randint(1, _PERIODIC_FAULT_JITTER[family])
-            dates.append(date)
-            step += period
-        return dates
+        jitter = _PERIODIC_FAULT_JITTER[family]
+        return [
+            step + fault_rng.randint(1, jitter) if hit(family) else step
+            for step in range(0, n, period)
+        ]
 
     def draw(stream: str, interval: tuple[int, int], family: str) -> int:
         if hit(family):
@@ -254,103 +263,59 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         emit("tqOut", vd_out)
 
         sign = rng["sign-type"].randrange(_SIGN_TYPE_COUNT)
-        if sign == 0:
-            emit("DetectLeftSign", sign_out)
+        if sign < len(_MANEUVERS):
+            detect, start_clock, action = _MANEUVERS[sign]
+            emit(detect, sign_out)
             start = emit(
-                "startTurnLeft", sign_out + rng["start-latency"].randint(*_START_LATENCY)
+                start_clock, sign_out + rng["start-latency"].randint(*_START_LATENCY)
             )
-            commands.append((start, 2, "turnLeft"))
-        elif sign == 1:
-            emit("DetectRightSign", sign_out)
-            start = emit(
-                "startTurnRight", sign_out + rng["start-latency"].randint(*_START_LATENCY)
-            )
-            commands.append((start, 2, "turnRight"))
-        elif sign == 2:
-            emit("DetectStopSign", sign_out)
-            start = emit(
-                "startBrake", sign_out + rng["start-latency"].randint(*_START_LATENCY)
-            )
-            commands.append((start, 2, "dec"))
-            stop = emit("Stop", start + rng["brake-to-stop"].randint(*_BRAKE_TO_STOP))
-            commands.append((stop, 3, "stopped"))
-        # other sign types carry no maneuver
+            commands.append((start, 2, action))
+            if action == "dec":
+                emit("Stop", start + rng["brake-to-stop"].randint(*_BRAKE_TO_STOP))
 
     # -- obstacle episodes ----------------------------------------------
 
-    episodes: list[tuple[int, int]] = []  # (entry, recovery)
+    entries: list[int] = []
+    recoveries: list[int] = []
     rearm = -1  # obstacle detection re-armed strictly after this step
     for t in dates["obsDetect"]:
-        if t <= rearm:
-            continue
-        if rng["obstacle"].random() < _OBSTACLE_PROB:
-            recovery = t + _SPORADIC_DWELL + 1 + rng["recovery"].randint(0, _RECOVERY_JITTER)
-            episodes.append((t, recovery))
-            rearm = recovery
-    for entry, recovery in episodes:
-        dates["obstc"].append(entry)
-        dates["emgcy"].append(entry)
-        dates["veBrake"].append(entry)
-        dates["veRun"].append(recovery)
-        dates["veAcc"].append(recovery)
-        commands.append((entry, 0, "entry"))
-        commands.append((recovery, 1, "recovery"))
+        if t > rearm and rng["obstacle"].random() < _OBSTACLE_PROB:
+            rearm = t + _SPORADIC_DWELL + 1 + rng["recovery"].randint(0, _RECOVERY_JITTER)
+            entries.append(t)
+            recoveries.append(rearm)
+    dates["obstc"] = dates["emgcy"] = dates["veBrake"] = entries
+    dates["veRun"] = dates["veAcc"] = recoveries
+    commands += [(t, 0, "entry") for t in entries]
+    commands += [(t, 1, "recovery") for t in recoveries]
 
-    # -- controller phase sweep ------------------------------------------
-    # Chronological replay of commands, stop events, and emergency
-    # episodes; same-step order: entry, recovery, command, standstill.
+    # -- controller sweep ------------------------------------------------
+    # Chronological replay; same-step order: entry, recovery, command.
+    # Only turns reach the trace, so the sweep keeps the turn in progress,
+    # its start and drawn end, and what an emergency suspended.  Every
+    # turn command draws its duration, even one dropped in an emergency.
 
-    mode = "Normal"  # "Normal" | "Emergency"
-    substate = "acc"  # Normal-mode phase: "turnLeft" | "turnRight" | "Stop" | "dec" | "acc"
-    phase_end: int | None = None
-    saved: tuple[str, int | None] = ("acc", None)
-    seg_start = 0
+    turn: str | None = None  # "turnLeft" | "turnRight" | None
+    turn_start = turn_end = 0
+    suspended: tuple[str | None, int] | None = None  # (turn, turn_end) in Emergency
 
     def close(end: int) -> None:
-        if mode == "Normal" and end > seg_start:
-            if substate == "turnLeft":
-                dates["turnLeft"].extend(range(seg_start, min(end, n)))
-            elif substate == "turnRight":
-                dates["rightOn"].extend(range(seg_start, min(end, n)))
+        if turn is not None:
+            dates[_TURN_CLOCKS[turn][0]].extend(range(turn_start, min(end, turn_end, n)))
 
-    for step, priority, action in sorted(commands):
-        if mode == "Normal" and phase_end is not None and phase_end <= step:
-            close(phase_end)
-            substate, phase_end, seg_start = "acc", None, phase_end
+    for step, _, action in sorted(commands):
         if action == "entry":
             close(step)
-            saved = (substate, phase_end)
-            mode = "Emergency"
-            phase_end, seg_start = None, step
-            continue
-        if action == "recovery":
-            mode = "Normal"
-            resumed, end = saved
-            if resumed in ("turnLeft", "turnRight") and (end is None or end > step):
-                substate, phase_end = resumed, end
-                dates["tLeft" if resumed == "turnLeft" else "tRight"].append(step)
-            else:
-                substate, phase_end = "acc", None
-            seg_start = step
-            continue
-        if action == "stopped":
-            duration = rng["stop-duration"].randint(*_STOP_DURATION)
-            if mode == "Normal" and substate == "dec":
+            suspended, turn = (turn, turn_end), None
+        elif action == "recovery":
+            (resumed, end), suspended = suspended, None
+            if resumed is not None and end > step:
+                turn, turn_start, turn_end = resumed, step, end
+                dates[_TURN_CLOCKS[resumed][1]].append(step)
+        else:  # maneuver command
+            duration = rng["turn-duration"].randint(*_TURN_DURATION) if action != "dec" else 0
+            if suspended is None:  # transitions are disabled during the dwell
                 close(step)
-                substate, phase_end, seg_start = "Stop", step + duration, step
-            continue
-        # maneuver command
-        duration = (
-            rng["turn-duration"].randint(*_TURN_DURATION) if action != "dec" else None
-        )
-        if mode == "Emergency":
-            continue  # transitions disabled during the dwell
-        close(step)
-        substate = action
-        phase_end = None if duration is None else step + duration
-        seg_start = step
-    if mode == "Normal" and phase_end is not None and phase_end < n:
-        close(phase_end)
-        substate, seg_start = "acc", phase_end
+                turn = action if action != "dec" else None
+                turn_start, turn_end = step, step + duration
     close(n)
     return Trace.from_dates(ALPHABET, n, dates)

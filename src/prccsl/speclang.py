@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .clocks import UNIVERSAL_CLOCK
@@ -89,16 +89,12 @@ _KIND_TO_RELOP = {kind: word for word, kind in _RELOPS.items()}
 @dataclass(frozen=True)
 class ClockDecl:
     name: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Definition:
     name: str
     expr: ClockExpr
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,6 @@ class RelationStmt:
     left: ClockExpr
     right: ClockExpr
     threshold: Fraction
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -185,10 +179,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        # flat namespace: name -> "clock" | "def" | "rel"
-        self.names: dict[str, str] = {UNIVERSAL_CLOCK: "clock"}
-        # definition name -> node depth of its deepest leaf once inlined
-        self.def_depths: dict[str, int] = {}
+        # flat namespace: name -> node depth of its deepest leaf once
+        # inlined (0 for a clock), or None for a relation id
+        self.names: dict[str, int | None] = {UNIVERSAL_CLOCK: 0}
         self.open_parens = 0
         self.clocks: list[ClockDecl] = []
         self.definitions: list[Definition] = []
@@ -249,27 +242,27 @@ class _Parser:
 
     # namespace ---------------------------------------------------------
 
-    def declare(self, token: _Token, role: str) -> str:
+    def declare(self, token: _Token, depth: int | None) -> None:
         name = token.text
         if name in self.names:
             raise SpecValidationError(
                 f"duplicate name {name!r}", token.line, token.column
             )
-        self.names[name] = role
-        return name
+        self.names[name] = depth
 
-    def resolve(self, token: _Token) -> ClockExpr:
+    def resolve(self, token: _Token) -> int:
+        """Return the inlined depth of the clock or definition ``token`` names."""
         name = token.text
-        role = self.names.get(name)
-        if role is None:
+        if name not in self.names:
             raise SpecValidationError(f"unknown name {name!r}", token.line, token.column)
-        if role == "rel":
+        depth = self.names[name]
+        if depth is None:
             raise SpecValidationError(
                 f"{name!r} is a relation id, not a clock or definition",
                 token.line,
                 token.column,
             )
-        return Ref(name)
+        return depth
 
     def within_limit(self, depth: int, token: _Token) -> int:
         """Return ``depth`` if it is within _MAX_DEPTH, else raise at ``token``."""
@@ -306,24 +299,21 @@ class _Parser:
         )
 
     def parse_clock(self) -> None:
-        keyword = self.advance()
+        self.advance()
         token = self.expect_ident("a clock name")
-        self.declare(token, "clock")
-        self.clocks.append(ClockDecl(token.text, keyword.line, keyword.column))
+        self.declare(token, 0)
+        self.clocks.append(ClockDecl(token.text))
 
     def parse_def(self) -> None:
-        keyword = self.advance()
+        self.advance()
         token = self.expect_ident("a definition name")
         self.expect_sym("=")
         expr, depth = self.parse_expr(0)
-        self.declare(token, "def")
-        self.def_depths[token.text] = depth
-        self.definitions.append(
-            Definition(token.text, expr, keyword.line, keyword.column)
-        )
+        self.declare(token, depth)
+        self.definitions.append(Definition(token.text, expr))
 
     def parse_rel(self) -> None:
-        keyword = self.advance()
+        self.advance()
         token = self.expect_ident("a relation id")
         self.expect_sym(":")
         left, _ = self.parse_expr(0)
@@ -343,17 +333,9 @@ class _Parser:
             raise SpecValidationError(
                 f"threshold out of range: {number.text}", number.line, number.column
             )
-        self.declare(token, "rel")
+        self.declare(token, None)
         self.relations.append(
-            RelationStmt(
-                token.text,
-                _RELOPS[op.text],
-                left,
-                right,
-                threshold,
-                keyword.line,
-                keyword.column,
-            )
+            RelationStmt(token.text, _RELOPS[op.text], left, right, threshold)
         )
 
     def parse_set(self) -> None:
@@ -401,8 +383,7 @@ class _Parser:
         self.within_limit(depth, token)
         if token.type == "ident":
             self.advance()
-            expr = self.resolve(token)
-            return expr, self.within_limit(depth + self.def_depths.get(token.text, 0), token)
+            return Ref(token.text), self.within_limit(depth + self.resolve(token), token)
         if token.type == "sym" and token.text == "(":
             self.advance()
             self.open_parens = self.within_limit(self.open_parens + 1, token)
@@ -450,7 +431,7 @@ def pretty_print(spec: SpecFile) -> str:
     Statements are grouped (settings, clocks, definitions, relations)
     preserving the order within each group, compound expressions are
     fully parenthesized, and thresholds are re-rendered as exact
-    decimals.  parse(pretty_print(s)) == s up to source positions.
+    decimals.  parse(pretty_print(s)) == s.
     """
     lines: list[str] = []
     if spec.settings.steps is not None:

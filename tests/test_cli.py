@@ -86,6 +86,15 @@ def test_check_missing_clock_exits_two(tmp_path, capsys):
     assert report["summary"]["error"] == 1
 
 
+def test_check_missing_clock_text_report_exits_two(tmp_path, capsys):
+    spec = write(tmp_path / "s.prccsl", "clock zz\nrel r: zz coincides ms prob >= 0.5\n")
+    trace = passing_trace(tmp_path / "t.csv")
+    assert main(["check", "--spec", spec, "--trace", trace]) == 2
+    out = capsys.readouterr().out
+    assert "r          error: unknown clock(s) in trace: zz\n" in out
+    assert "1 error" in out
+
+
 def test_check_spec_error_exits_two(tmp_path, capsys):
     spec = write(tmp_path / "bad.prccsl", "clock clock\n")
     trace = passing_trace(tmp_path / "t.csv")

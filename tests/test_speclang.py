@@ -135,6 +135,10 @@ def test_validation_errors(text, fragment):
         "def d = (ms\n",
         "clock a $\n",
         "set speed 3\n",
+        "clock a\ndef p = periodicon a 3\n",
+        "def d = ms delayfor x on ms\n",
+        "rel r: ms ms prob >= 0.5\n",
+        "rel r: ms coincides ms prob >= x\n",
     ],
 )
 def test_syntax_errors(text):

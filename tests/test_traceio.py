@@ -72,6 +72,7 @@ def test_empty_trace_round_trip():
         ("step,a\n0, 1\n", 2, "must be 0 or 1"),
         ("step,a\n0,\n", 2, "must be 0 or 1"),
         pytest.param("step,ms,a\n0,1," + "x" * 200000 + "\n", 2, "field limit", id="over-long-field"),
+        pytest.param("step," + "x" * 200000 + "\n0,1\n", 1, "field limit", id="over-long-header-field"),
     ],
 )
 def test_format_errors_carry_line_numbers(text, line, fragment):
