@@ -34,10 +34,7 @@ _EXPORTS = {
     "report": ("build_report", "render_text"),
     "simulator": ("ALPHABET", "AVParams", "FaultSpec", "FAULT_TARGETS", "simulate", "simulate_faulty"),
     "speclang": (
-        "ClockDecl",
         "Definition",
-        "RelationStmt",
-        "Settings",
         "SpecFile",
         "parse",
         "pretty_print",

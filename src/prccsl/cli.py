@@ -26,7 +26,7 @@ from .errors import PrccslError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .relations import CheckResult, RelationSpec
+    from .relations import CheckResult
     from .simulator import FaultSpec
 
 __all__ = ["main"]
@@ -114,41 +114,26 @@ def _exit_code(results: list[CheckResult]) -> int:
     return 0
 
 
-def _override(
-    specs: list[RelationSpec],
-    samples: int | None = None,
-    threshold: Fraction | None = None,
-) -> list[RelationSpec]:
-    import dataclasses
-
-    out = specs
-    if samples is not None:
-        out = [dataclasses.replace(spec, sample_size=samples) for spec in out]
-    if threshold is not None:
-        out = [dataclasses.replace(spec, threshold=threshold) for spec in out]
-    return out
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .relations import check_relations
     from .report import build_report
     from .speclang import elaborate, parse
     from .traceio import read_trace
 
     started = time.perf_counter()
-    with open(args.spec, "r", encoding="utf-8") as handle:
+    with open(args.spec, "r", encoding="utf-8-sig") as handle:
         spec = parse(handle.read())
+    if args.samples is not None:
+        spec = replace(spec, samples=args.samples)
     _, relations = elaborate(spec)
-    relations = _override(relations, samples=args.samples)
     trace = read_trace(args.trace)
     results = check_relations(relations, trace)
     report = build_report(
         spec=args.spec,
         trace={"path": args.trace, "steps": len(trace)},
-        settings={
-            "steps": spec.settings.steps,
-            "samples": args.samples if args.samples is not None else spec.settings.samples,
-        },
+        settings={"steps": spec.steps, "samples": spec.samples},
         results=results,
         duration_seconds=time.perf_counter() - started,
     )
@@ -173,6 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_av(args: argparse.Namespace) -> int:
+    from dataclasses import replace
     from importlib import resources
 
     from .relations import check_relations
@@ -184,10 +170,11 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
     text = resources.files("prccsl").joinpath("data").joinpath(_BUNDLED_SPEC).read_text("utf-8")
     spec = parse(text)
     _, relations = elaborate(spec)
-    relations = _override(relations, threshold=args.threshold)
+    if args.threshold is not None:
+        relations = [replace(rel, threshold=args.threshold) for rel in relations]
     steps = args.steps
     if steps is None:
-        steps = spec.settings.steps if spec.settings.steps is not None else _DEFAULT_STEPS
+        steps = spec.steps if spec.steps is not None else _DEFAULT_STEPS
     params = AVParams(seed=args.seed, steps=steps)
     trace = simulate(params) if args.fault is None else simulate_faulty(params, args.fault)
     results = check_relations(relations, trace)
@@ -197,7 +184,7 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
         trace={"seed": args.seed, "steps": steps, "fault": fault},
         settings={
             "steps": steps,
-            "samples": spec.settings.samples,
+            "samples": spec.samples,
             "threshold": str(args.threshold) if args.threshold is not None else None,
         },
         results=results,

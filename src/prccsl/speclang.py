@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .clocks import UNIVERSAL_CLOCK
@@ -33,10 +33,7 @@ from .exprs import ClockExpr, DelayFor, Inf, PeriodicOn, Ref, Sup
 from .relations import RelationKind, RelationSpec
 
 __all__ = [
-    "ClockDecl",
     "Definition",
-    "RelationStmt",
-    "Settings",
     "SpecFile",
     "parse",
     "pretty_print",
@@ -87,37 +84,28 @@ _KIND_TO_RELOP = {kind: word for word, kind in _RELOPS.items()}
 
 
 @dataclass(frozen=True)
-class ClockDecl:
-    name: str
-
-
-@dataclass(frozen=True)
 class Definition:
     name: str
     expr: ClockExpr
 
 
 @dataclass(frozen=True)
-class RelationStmt:
-    id: str
-    kind: RelationKind
-    left: ClockExpr
-    right: ClockExpr
-    threshold: Fraction
+class SpecFile:
+    """A parsed spec: its statements grouped by kind, in text order.
 
+    ``clocks`` are the declared clock names and ``steps``/``samples``
+    the ``set`` values (None when not set).  A relation's operands may
+    still name definitions: only the relations that ``elaborate``
+    returns are monitorable.  Given to ``check_relations`` on a trace
+    with no clock of that name, a relation that names a definition
+    yields a RelationError naming it, never a verdict.
+    """
 
-@dataclass(frozen=True)
-class Settings:
+    clocks: tuple[str, ...] = ()
+    definitions: tuple[Definition, ...] = ()
+    relations: tuple[RelationSpec, ...] = ()
     steps: int | None = None
     samples: int | None = None
-
-
-@dataclass(frozen=True)
-class SpecFile:
-    clocks: tuple[ClockDecl, ...] = ()
-    definitions: tuple[Definition, ...] = ()
-    relations: tuple[RelationStmt, ...] = ()
-    settings: Settings = Settings()
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -183,11 +171,10 @@ class _Parser:
         # inlined (0 for a clock), or None for a relation id
         self.names: dict[str, int | None] = {UNIVERSAL_CLOCK: 0}
         self.open_parens = 0
-        self.clocks: list[ClockDecl] = []
+        self.clocks: list[str] = []
         self.definitions: list[Definition] = []
-        self.relations: list[RelationStmt] = []
-        self.steps: int | None = None
-        self.samples: int | None = None
+        self.relations: list[RelationSpec] = []
+        self.settings: dict[str, int] = {}  # "steps" / "samples" -> value
 
     # token plumbing ----------------------------------------------------
 
@@ -231,7 +218,12 @@ class _Parser:
             raise SpecValidationError(
                 f"{role} must be an integer, got {token.text}", token.line, token.column
             )
-        value = int(token.text)
+        try:
+            value = int(token.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise SpecValidationError(
+                f"{role} has too many digits", token.line, token.column
+            ) from None
         if value < minimum:
             raise SpecValidationError(
                 f"{role} must be at least {minimum}, got {value}",
@@ -295,14 +287,14 @@ class _Parser:
             clocks=tuple(self.clocks),
             definitions=tuple(self.definitions),
             relations=tuple(self.relations),
-            settings=Settings(steps=self.steps, samples=self.samples),
+            **self.settings,
         )
 
     def parse_clock(self) -> None:
         self.advance()
         token = self.expect_ident("a clock name")
         self.declare(token, 0)
-        self.clocks.append(ClockDecl(token.text))
+        self.clocks.append(token.text)
 
     def parse_def(self) -> None:
         self.advance()
@@ -328,14 +320,19 @@ class _Parser:
         if number.type != "number":
             self.fail(f"expected a probability, found {_describe(number)}", number)
         self.advance()
-        threshold = Fraction(number.text)
+        try:
+            threshold = Fraction(number.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise SpecValidationError(
+                "threshold has too many digits", number.line, number.column
+            ) from None
         if not 0 <= threshold <= 1:
             raise SpecValidationError(
                 f"threshold out of range: {number.text}", number.line, number.column
             )
         self.declare(token, None)
         self.relations.append(
-            RelationStmt(token.text, _RELOPS[op.text], left, right, threshold)
+            RelationSpec(token.text, _RELOPS[op.text], left, right, threshold)
         )
 
     def parse_set(self) -> None:
@@ -345,18 +342,11 @@ class _Parser:
             self.fail(f"expected 'steps' or 'samples', found {_describe(token)}", token)
         self.advance()
         value = self.expect_nat(f"the {token.text} value", minimum=0 if token.text == "steps" else 1)
-        if token.text == "steps":
-            if self.steps is not None:
-                raise SpecValidationError(
-                    "duplicate 'set steps'", keyword.line, keyword.column
-                )
-            self.steps = value
-        else:
-            if self.samples is not None:
-                raise SpecValidationError(
-                    "duplicate 'set samples'", keyword.line, keyword.column
-                )
-            self.samples = value
+        if token.text in self.settings:
+            raise SpecValidationError(
+                f"duplicate 'set {token.text}'", keyword.line, keyword.column
+            )
+        self.settings[token.text] = value
 
     def parse_expr(self, depth: int) -> tuple[ClockExpr, int]:
         """Parse an expression whose root node sits ``depth`` nodes deep.
@@ -434,12 +424,12 @@ def pretty_print(spec: SpecFile) -> str:
     decimals.  parse(pretty_print(s)) == s.
     """
     lines: list[str] = []
-    if spec.settings.steps is not None:
-        lines.append(f"set steps {spec.settings.steps}")
-    if spec.settings.samples is not None:
-        lines.append(f"set samples {spec.settings.samples}")
-    for decl in spec.clocks:
-        lines.append(f"clock {decl.name}")
+    if spec.steps is not None:
+        lines.append(f"set steps {spec.steps}")
+    if spec.samples is not None:
+        lines.append(f"set samples {spec.samples}")
+    for name in spec.clocks:
+        lines.append(f"clock {name}")
     for definition in spec.definitions:
         lines.append(f"def {definition.name} = {format_expr(definition.expr)}")
     for rel in spec.relations:
@@ -520,16 +510,9 @@ def elaborate(spec: SpecFile) -> tuple[tuple[str, ...], list[RelationSpec]]:
             node = Sup(inline(expr.left), inline(expr.right))
         return interned.setdefault(node, node)
 
-    alphabet = (UNIVERSAL_CLOCK, *(decl.name for decl in spec.clocks))
+    alphabet = (UNIVERSAL_CLOCK, *spec.clocks)
     relations = [
-        RelationSpec(
-            id=rel.id,
-            kind=rel.kind,
-            left=inline(rel.left),
-            right=inline(rel.right),
-            threshold=rel.threshold,
-            sample_size=spec.settings.samples,
-        )
+        replace(rel, left=inline(rel.left), right=inline(rel.right), sample_size=spec.samples)
         for rel in spec.relations
     ]
     return alphabet, relations

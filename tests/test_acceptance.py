@@ -33,7 +33,7 @@ from prccsl import (
 )
 from prccsl.cli import main
 from prccsl.oracle import oracle_relation
-from prccsl.speclang import ClockDecl, Definition, RelationStmt, Settings, SpecFile
+from prccsl.speclang import Definition, SpecFile
 
 CORPUS_PATH = "src/prccsl/data/av_requirements.prccsl"
 
@@ -41,7 +41,7 @@ CORPUS_PATH = "src/prccsl/data/av_requirements.prccsl"
 def corpus_text():
     from importlib import resources
 
-    return resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text()
+    return resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text(encoding="utf-8")
 
 
 # -- 1: monitors agree with the oracle on random traces ----------------
@@ -151,7 +151,7 @@ def test_verify_av_all_valid(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     capsys.readouterr()
     assert code == 0
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(encoding="utf-8"))
     assert report["summary"]["total"] == 36
     assert report["summary"]["valid"] == 36
     assert elapsed < 60
@@ -251,7 +251,7 @@ def test_corpus_round_trips_and_matches_table():
     ]
     assert got == EXPECTED_RELATIONS
     assert all(r.threshold == Fraction(19, 20) for r in relations)
-    assert spec.settings.steps == 60000
+    assert spec.steps == 60000
 
 
 def random_expr(rng, names, depth):
@@ -284,7 +284,7 @@ def random_spec(rng):
         defs.append(Definition(name, random_expr(rng, usable, 2)))
         usable.append(name)
     rels = tuple(
-        RelationStmt(
+        RelationSpec(
             f"r{i}",
             rng.choice(list(RelationKind)),
             random_expr(rng, usable, 2),
@@ -293,15 +293,12 @@ def random_spec(rng):
         )
         for i in range(rng.randrange(0, 5))
     )
-    settings = Settings(
-        steps=rng.choice((None, 0, 1, 60000)),
-        samples=rng.choice((None, 1, 500)),
-    )
     return SpecFile(
-        clocks=tuple(ClockDecl(n) for n in clock_names),
+        clocks=tuple(clock_names),
         definitions=tuple(defs),
         relations=rels,
-        settings=settings,
+        steps=rng.choice((None, 0, 1, 60000)),
+        samples=rng.choice((None, 1, 500)),
     )
 
 

@@ -41,7 +41,7 @@ def test_check_valid_spec_exits_zero(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "both" in text and "valid" in text
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(encoding="utf-8"))
     assert report["summary"] == {"total": 2, "valid": 2, "fail": 0, "vacuous": 0, "error": 0}
     assert report["tool"]["name"] == "prccsl"
     record = report["relations"][0]
@@ -49,6 +49,16 @@ def test_check_valid_spec_exits_zero(tmp_path, capsys):
     assert record["probability"] == {"decimal": "1", "fraction": "5/5"}
     assert record["threshold"]["fraction"] == "9/10"
     assert report["trace"]["steps"] == 10
+
+
+def test_check_accepts_spec_with_byte_order_mark(tmp_path, capsys):
+    trace = passing_trace(tmp_path / "t.csv")
+    reports = []
+    for name, prefix in (("plain.prccsl", ""), ("bom.prccsl", "\ufeff")):
+        spec = write(tmp_path / name, prefix + PASSING_SPEC)
+        assert main(["check", "--spec", spec, "--trace", trace, "--format", "json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["relations"])
+    assert reports[0] == reports[1]
 
 
 def test_check_failing_relation_exits_one(tmp_path, capsys):
@@ -132,7 +142,7 @@ def test_simulate_writes_csv_and_digest(tmp_path, capsys):
     assert main(["simulate", "--steps", "500", "--seed", "3", "--out", str(out)]) == 0
     digest = capsys.readouterr().out
     assert "500 steps" in digest and "ms: 500 ticks" in digest
-    header = out.read_text().splitlines()[0]
+    header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("step,ms,cmrTrig,")
 
 
@@ -143,7 +153,8 @@ def test_simulate_then_check_round_trip(tmp_path):
 
     spec = tmp_path / "av.prccsl"
     spec.write_text(
-        resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text()
+        resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text(encoding="utf-8"),
+        encoding="utf-8",
     )
     assert main(["check", "--spec", str(spec), "--trace", str(out)]) == 0
 
@@ -159,7 +170,8 @@ def test_check_catches_faulted_trace(tmp_path, capsys):
 
     spec = tmp_path / "av.prccsl"
     spec.write_text(
-        resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text()
+        resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text(encoding="utf-8"),
+        encoding="utf-8",
     )
     code = main(["check", "--spec", str(spec), "--trace", str(trace), "--format", "json"])
     assert code == 1
@@ -188,7 +200,7 @@ def test_verify_av_small_run(tmp_path, capsys):
     assert report["summary"]["total"] == 36
     assert report["summary"]["fail"] == 0 and report["summary"]["error"] == 0
     assert report["trace"] == {"seed": 42, "steps": 6000, "fault": None}
-    assert json.loads(out.read_text()) == report
+    assert json.loads(out.read_text(encoding="utf-8")) == report
 
 
 def test_verify_av_threshold_one_flips_jittered_relations(capsys):
@@ -207,7 +219,7 @@ def test_verify_av_threshold_one_flips_jittered_relations(capsys):
 
 
 def test_verify_av_fault_fails_its_golden_relations(capsys):
-    golden = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text())
+    golden = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text(encoding="utf-8"))
     code = main(["verify-av", "--seed", "42", "--fault", "exec-R7:1.0", "--format", "json"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
@@ -227,7 +239,7 @@ def test_verify_av_short_run_reports_vacuous(capsys):
 def test_simulate_zero_steps_header_only(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["simulate", "--steps", "0", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 and lines[0].startswith("step,ms,")
 
 
@@ -260,7 +272,8 @@ print(code, *sorted(sys.modules))
 def loaded_modules(argv):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=True,
     )
     code, *modules = run.stdout.splitlines()[-1].split()
     return int(code), set(modules)

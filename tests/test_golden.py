@@ -30,13 +30,13 @@ from prccsl import (
     trace_to_string,
 )
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text())
-DIGESTS = json.loads((Path(__file__).parent / "data" / "trace_digests.json").read_text())
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text(encoding="utf-8"))
+DIGESTS = json.loads((Path(__file__).parent / "data" / "trace_digests.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
 def relations():
-    text = resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text()
+    text = resources.files("prccsl").joinpath("data/av_requirements.prccsl").read_text(encoding="utf-8")
     return elaborate(parse(text))[1]
 
 

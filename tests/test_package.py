@@ -48,7 +48,8 @@ def test_import_loads_only_the_modules_a_name_needs():
         "print(*sorted(m for m in sys.modules if m.startswith('prccsl')))\n"
     )
     run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, encoding="utf-8", check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert run.stdout.splitlines() == ["prccsl", "prccsl prccsl.clocks prccsl.errors"]

@@ -1,17 +1,17 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from prccsl import (
-    ClockDecl,
     DelayFor,
     Definition,
     Inf,
     PeriodicOn,
     Ref,
+    RelationError,
     RelationKind,
-    RelationStmt,
-    Settings,
+    RelationSpec,
     SpecFile,
     SpecSyntaxError,
     SpecValidationError,
@@ -41,8 +41,8 @@ rel r2: lag causes inf(a, b) prob >= 1
 
 def test_parse_sample():
     spec = parse(SAMPLE)
-    assert spec.settings == Settings(steps=100, samples=50)
-    assert [c.name for c in spec.clocks] == ["a", "b"]
+    assert (spec.steps, spec.samples) == (100, 50)
+    assert spec.clocks == ("a", "b")
     assert [d.name for d in spec.definitions] == ["fast", "lag"]
     assert spec.definitions[0].expr == PeriodicOn(Ref("ms"), 2)
     assert spec.definitions[1].expr == DelayFor(Ref("a"), 3, Ref("ms"))
@@ -86,7 +86,11 @@ def test_delayfor_chains_left_associative():
 
 def test_comments_and_blank_lines_ignored():
     spec = parse("\n# note\n\nclock a # trailing\n")
-    assert [c.name for c in spec.clocks] == ["a"]
+    assert spec.clocks == ("a",)
+
+
+# one digit past the interpreter's limit on int() of a decimal string
+_TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
 
 
 @pytest.mark.parametrize(
@@ -113,6 +117,12 @@ def test_comments_and_blank_lines_ignored():
             + "".join(f"def d{i} = periodicon d{i - 1} period 1\n" for i in range(1, 3001)),
             "nested deeper",
             id="3000-definition-chain",
+        ),
+        pytest.param(f"set steps {_TOO_LONG}\n", "too many digits", id="long-steps"),
+        pytest.param(f"def p = periodicon ms period {_TOO_LONG}\n", "too many digits", id="long-period"),
+        pytest.param(f"def d = ms delayfor {_TOO_LONG} on ms\n", "too many digits", id="long-delay"),
+        pytest.param(
+            f"rel r: ms coincides ms prob >= 0.{_TOO_LONG}\n", "too many digits", id="long-threshold"
         ),
     ],
 )
@@ -181,12 +191,13 @@ def test_parse_pretty_print_identity():
 
 def test_programmatic_spec_round_trips():
     spec = SpecFile(
-        clocks=(ClockDecl("x"), ClockDecl("y")),
+        clocks=("x", "y"),
         definitions=(Definition("d", Sup(Ref("x"), Ref("y"))),),
         relations=(
-            RelationStmt("r", RelationKind.PRECEDENCE, Ref("d"), Ref("ms"), Fraction(4, 5)),
+            RelationSpec("r", RelationKind.PRECEDENCE, Ref("d"), Ref("ms"), Fraction(4, 5)),
         ),
-        settings=Settings(steps=None, samples=7),
+        steps=None,
+        samples=7,
     )
     assert parse(pretty_print(spec)) == spec
 
@@ -249,3 +260,13 @@ def test_shared_definition_chain_is_checked():
     assert (same.k, same.m, same.outcome) == (3, 3, "valid")
     assert (sub.k, sub.m, sub.outcome) == (3, 3, "valid")
     assert clocks_of(relations[0].left) == {"a"}
+
+
+def test_only_elaborated_relations_are_monitorable():
+    spec = parse("clock a\ndef half = periodicon a period 2\nrel r: half subclockof a prob >= 1\n")
+    trace = Trace.from_dates(("ms", "a"), 10, {"a": [0, 3, 5, 8]})
+    (raw,) = check_relations(spec.relations, trace)
+    assert isinstance(raw, RelationError)
+    assert (raw.id, raw.message) == ("r", "unknown clock(s) in trace: half")
+    (verdict,) = check_relations(elaborate(spec)[1], trace)
+    assert (verdict.k, verdict.m, verdict.outcome) == (2, 2, "valid")
