@@ -7,9 +7,10 @@ the per-step engine and checked against ``prccsl.oracle``; any engine
 rewrite must reproduce it exactly.
 
 ``data/trace_digests.json`` locks the bytes of the simulator's CSV:
-the sha256 of ``trace_to_string`` for ``simulate`` at seeds 0-4 and
-for every fault target at rates 0.2 and 1.0.  ``random`` gives the
-same streams on every supported Python, so the digests do too.
+the sha256 of ``trace_to_string`` for ``simulate`` at seeds 0-4, for
+short runs (0, 1, 57 and 999 steps) at seeds 0-2, and for every fault
+target at rates 0.2 and 1.0.  ``random`` gives the same streams on
+every supported Python, so the digests do too.
 """
 
 import hashlib
@@ -66,6 +67,15 @@ def csv_digest(trace) -> str:
 def test_simulated_csv_bytes_match_golden(seed):
     trace = simulate(AVParams(seed=int(seed), steps=DIGESTS["steps"]))
     assert csv_digest(trace) == DIGESTS["simulate"][seed]
+
+
+@pytest.mark.parametrize(
+    "steps,seed",
+    [(steps, seed) for steps, seeds in sorted(DIGESTS["short"].items()) for seed in seeds],
+)
+def test_short_run_csv_bytes_match_golden(steps, seed):
+    trace = simulate(AVParams(seed=int(seed), steps=int(steps)))
+    assert csv_digest(trace) == DIGESTS["short"][steps][seed]
 
 
 @pytest.mark.parametrize(
