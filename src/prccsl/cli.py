@@ -122,6 +122,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .speclang import elaborate, parse
     from .traceio import read_trace
 
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     started = time.perf_counter()
     with open(args.spec, "r", encoding="utf-8-sig") as handle:
         spec = parse(handle.read())

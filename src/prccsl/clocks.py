@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DeclarationError, UnknownClockError
 
-__all__ = ["UNIVERSAL_CLOCK", "validate_clock_name", "Trace"]
+__all__ = ["UNIVERSAL_CLOCK", "Trace"]
 
 UNIVERSAL_CLOCK = "ms"
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PrccslError", "DeclarationError", "UnknownClockError", "ExpressionError",
+    "SpecSyntaxError", "SpecValidationError", "TraceFormatError", "FaultTargetError",
+]
+
 
 class PrccslError(Exception):
     """Base class for every error raised by this package."""

@@ -26,7 +26,6 @@ from .clocks import Trace, validate_clock_name
 from .errors import DeclarationError, ExpressionError
 
 __all__ = [
-    "ClockExpr",
     "Ref",
     "PeriodicOn",
     "DelayFor",

@@ -32,6 +32,7 @@ __all__ = [
     "RelationSpec",
     "Verdict",
     "RelationError",
+    "CheckResult",
     "check_relations",
 ]
 

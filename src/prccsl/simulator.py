@@ -8,9 +8,11 @@ Every 50 ms the camera captures a frame which flows through a pipeline:
 
 Stage latencies are drawn uniformly inside their execution windows
 (camera [20,30], sign recognition [100,150], controller [100,150],
-vehicle dynamics [50,100]) and each emitted clock is clamped to stay
-strictly monotone; the clamp never pushes a latency outside its window
-because consecutive anchors are at least one step apart.
+vehicle dynamics [50,100]).  Each pipeline clock is its upstream clock
+plus a drawn latency, clamped once to stay strictly monotone, and
+clocks that coincide share one list; the clamp never pushes a latency
+outside its window because consecutive anchors are at least one step
+apart.
 
 Recognized sign types drive start-of-action commands within their
 deadlines, which the controller replays in step order:
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import accumulate
+from operator import add
 
 from .clocks import UNIVERSAL_CLOCK, Trace
 from .errors import FaultTargetError
@@ -108,6 +112,8 @@ _SIGN_TYPE_COUNT = 6  # types 0..2 are left, right, stop; the rest carry no mane
 _OBSTACLE_PROB = 0.05  # per obstacle-detection tick
 _INPUT_SYNC_WINDOW = 40  # controller input ports arrive within this window
 _OUTPUT_SYNC_WINDOW = 30  # controller output ports leave within this window
+_INPUT_PORTS = ("speed", "direct", "gear", "torque")
+_OUTPUT_PORTS = ("reqTorq", "reqDirec", "reqGear", "reqBrake")
 _START_LATENCY = (100, 400)  # sign detection -> start-of-action command
 _BRAKE_TO_STOP = (400, 2000)  # startBrake -> standstill
 _TURN_DURATION = (800, 2000)  # length of a turn phase
@@ -137,23 +143,6 @@ _EXEC_FAULT_RANGES = {
     "exec-R8": (101, 140),
 }
 FAULT_TARGETS = frozenset(_PERIODIC_FAULT_JITTER) | frozenset(_EXEC_FAULT_RANGES)
-
-_STREAMS = (
-    "camera-exec",
-    "signrec-exec",
-    "ctrl-exec",
-    "vd-exec",
-    "sign-type",
-    "input-sync",
-    "output-sync",
-    "start-latency",
-    "brake-to-stop",
-    "obstacle",
-    "recovery",
-    "turn-duration",
-    "fault",
-)
-
 
 class AVParams(namedtuple("AVParams", "seed steps")):
     """Seed and length of one run of the vehicle model (a named tuple)."""
@@ -192,18 +181,23 @@ def simulate_faulty(params: AVParams, fault: FaultSpec) -> Trace:
     return _run(params, fault)
 
 
+def monotone(steps: list[int]) -> list[int]:
+    """Clamp each tick to at least one step after the one before it."""
+    return list(accumulate(steps, lambda last, at: at if at > last else last + 1))
+
+
 def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
     n = params.steps
-    rng = {name: random.Random(f"{params.seed}/{name}") for name in _STREAMS}
-    fault_rng = rng["fault"]
+    dates: dict[str, list[int]] = {name: [] for name in ALPHABET}
+
+    def stream(name: str) -> random.Random:
+        return random.Random(f"{params.seed}/{name}")
+
+    fault_rng = stream("fault")
 
     def hit(family: str) -> bool:
         # draw from the fault stream only for the targeted family
-        return (
-            fault is not None
-            and fault.target == family
-            and fault_rng.random() < fault.rate
-        )
+        return fault is not None and fault.target == family and fault_rng.random() < fault.rate
 
     def periodic(period: int, family: str) -> list[int]:
         jitter = _PERIODIC_FAULT_JITTER[family]
@@ -212,75 +206,68 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
             for step in range(0, n, period)
         ]
 
-    def draw(stream: str, interval: tuple[int, int], family: str) -> int:
-        if hit(family):
-            return rng[stream].randint(*_EXEC_FAULT_RANGES[family])
-        return rng[stream].randint(*interval)
+    def stage(anchors: list[int], name: str, window: tuple[int, int], family: str) -> list[int]:
+        """Each anchor plus one latency from ``name`` (or the fault range on a hit), clamped."""
+        randint = stream(name).randint
+        faulty = _EXEC_FAULT_RANGES[family]
+        return monotone([at + randint(*(faulty if hit(family) else window)) for at in anchors])
 
-    dates: dict[str, list[int]] = {name: [] for name in ALPHABET}
+    def ports(anchors: list[int], names: tuple[str, ...], name: str, window: int) -> None:
+        """Each port's clock: each anchor plus an offset in [0, window], clamped."""
+        randint = stream(name).randint
+        draws = [randint(0, window) for _ in range(len(anchors) * len(names))]
+        for i, port in enumerate(names):  # drawn trigger-major, port-minor
+            dates[port] = monotone(list(map(add, anchors, draws[i :: len(names)])))
+
     dates[UNIVERSAL_CLOCK] = list(range(n))
     dates["signTrig"] = periodic(_SIGNREC_PERIOD, "periodic-R2")
     dates["obsDetect"] = periodic(_OBSTACLE_PERIOD, "periodic-R3")
     dates["spUpdate"] = periodic(_SPEED_PERIOD, "periodic-R4")
     dates["cmrTrig"] = periodic(_CAMERA_PERIOD, "periodic-R1")
 
-    # -- frame pipeline: one job per camera trigger ---------------------
+    # -- frame pipeline: one clock at a time ----------------------------
+    # A clock that copies a strictly monotone upstream clock is that list;
+    # Trace.from_dates copies every list, so the trace shares none of them.
 
-    in_ports = ("speed", "direct", "gear", "torque")
-    out_ports = ("reqTorq", "reqDirec", "reqGear", "reqBrake")
+    cmr_out = stage(dates["cmrTrig"], "camera-exec", _EXEC_CAMERA, "exec-R6")
+    dates["cmrOut"] = dates["imIn"] = cmr_out
+    sign_out = stage(cmr_out, "signrec-exec", _EXEC_SIGNREC, "exec-R5")
+    # recognition hand-off opens the controller input window: the
+    # sign-type port arrives first, the state feedback ports follow
+    dates["signOut"] = dates["signIn"] = dates["signType"] = dates["ctrlIn"] = sign_out
+    ports(sign_out, _INPUT_PORTS, "input-sync", _INPUT_SYNC_WINDOW)
+    ctrl_out = stage(sign_out, "ctrl-exec", _EXEC_CONTROLLER, "exec-R7")
+    dates["ctrlOut"] = dates["vdIn"] = ctrl_out
+    ports(ctrl_out, _OUTPUT_PORTS, "output-sync", _OUTPUT_SYNC_WINDOW)
+    vd_out = stage(ctrl_out, "vd-exec", _EXEC_VEHICLEDYN, "exec-R8")
+    dates["vdOut"] = dates["spOut"] = dates["tqOut"] = vd_out
 
-    def emit(clock: str, at: int) -> int:
-        """Append a tick, clamped to keep the clock strictly monotone."""
-        ticks = dates[clock]
-        at = ticks[-1] + 1 if ticks and ticks[-1] >= at else at
-        ticks.append(at)
-        return at
+    # -- recognized signs: detections, start-of-action commands, Stop ----
 
-    commands: list[tuple[int, int, str]] = []  # (step, priority, action)
-    for trig in dates["cmrTrig"]:
-        cmr_out = emit("cmrOut", trig + draw("camera-exec", _EXEC_CAMERA, "exec-R6"))
-        im_in = emit("imIn", cmr_out)
-        sign_out = emit(
-            "signOut", im_in + draw("signrec-exec", _EXEC_SIGNREC, "exec-R5")
-        )
-        # recognition hand-off opens the controller input window: the
-        # sign-type port arrives first, the state feedback ports follow
-        emit("signIn", sign_out)
-        emit("signType", sign_out)
-        ctrl_in = emit("ctrlIn", sign_out)
-        for port in in_ports:
-            emit(port, sign_out + rng["input-sync"].randint(0, _INPUT_SYNC_WINDOW))
-        ctrl_out = emit(
-            "ctrlOut", ctrl_in + draw("ctrl-exec", _EXEC_CONTROLLER, "exec-R7")
-        )
-        for port in out_ports:
-            emit(port, ctrl_out + rng["output-sync"].randint(0, _OUTPUT_SYNC_WINDOW))
-        vd_in = emit("vdIn", ctrl_out)
-        vd_out = emit(
-            "vdOut", vd_in + draw("vd-exec", _EXEC_VEHICLEDYN, "exec-R8")
-        )
-        emit("spOut", vd_out)
-        emit("tqOut", vd_out)
-
-        sign = rng["sign-type"].randrange(_SIGN_TYPE_COUNT)
+    sign_type = stream("sign-type").randrange
+    signs = [sign_type(_SIGN_TYPE_COUNT) for _ in sign_out]
+    latency = stream("start-latency").randint
+    for at, sign in zip(sign_out, signs):
         if sign < len(_MANEUVERS):
-            detect, start_clock, action = _MANEUVERS[sign]
-            emit(detect, sign_out)
-            start = emit(
-                start_clock, sign_out + rng["start-latency"].randint(*_START_LATENCY)
-            )
-            commands.append((start, 2, action))
-            if action == "dec":
-                emit("Stop", start + rng["brake-to-stop"].randint(*_BRAKE_TO_STOP))
+            detect, start, _ = _MANEUVERS[sign]
+            dates[detect].append(at)
+            dates[start].append(at + latency(*_START_LATENCY))
+    commands: list[tuple[int, int, str]] = []  # (step, priority, action)
+    for _, start, action in _MANEUVERS:
+        dates[start] = monotone(dates[start])
+        commands += [(t, 2, action) for t in dates[start]]
+    brake = stream("brake-to-stop").randint
+    dates["Stop"] = monotone([t + brake(*_BRAKE_TO_STOP) for t in dates["startBrake"]])
 
     # -- obstacle episodes ----------------------------------------------
 
     entries: list[int] = []
     recoveries: list[int] = []
     rearm = -1  # obstacle detection re-armed strictly after this step
+    obstacle, recovery = stream("obstacle").random, stream("recovery").randint
     for t in dates["obsDetect"]:
-        if t > rearm and rng["obstacle"].random() < _OBSTACLE_PROB:
-            rearm = t + _SPORADIC_DWELL + 1 + rng["recovery"].randint(0, _RECOVERY_JITTER)
+        if t > rearm and obstacle() < _OBSTACLE_PROB:
+            rearm = t + _SPORADIC_DWELL + 1 + recovery(0, _RECOVERY_JITTER)
             entries.append(t)
             recoveries.append(rearm)
     dates["obstc"] = dates["emgcy"] = dates["veBrake"] = entries
@@ -302,6 +289,7 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         if turn is not None:
             dates[_TURN_CLOCKS[turn][0]].extend(range(turn_start, min(end, turn_end, n)))
 
+    turn_duration = stream("turn-duration").randint
     for step, _, action in sorted(commands):
         if action == "entry":
             close(step)
@@ -312,7 +300,7 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
                 turn, turn_start, turn_end = resumed, step, end
                 dates[_TURN_CLOCKS[resumed][1]].append(step)
         else:  # maneuver command
-            duration = rng["turn-duration"].randint(*_TURN_DURATION) if action != "dec" else 0
+            duration = turn_duration(*_TURN_DURATION) if action != "dec" else 0
             if suspended is None:  # transitions are disabled during the dwell
                 close(step)
                 turn = action if action != "dec" else None

@@ -37,6 +37,8 @@ __all__ = [
     "SpecFile",
     "parse",
     "pretty_print",
+    "format_expr",
+    "format_threshold",
     "elaborate",
 ]
 
@@ -119,7 +121,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
-      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<number>[0-9]+(?:\.[0-9]+)?)
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<ge>>=)
       | (?P<sym>[(),:=])

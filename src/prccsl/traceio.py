@@ -25,7 +25,7 @@ from typing import IO, Any, Iterator, Union
 from .clocks import Trace
 from .errors import DeclarationError, TraceFormatError
 
-__all__ = ["write_trace", "read_trace"]
+__all__ = ["read_trace", "write_trace", "trace_to_string"]
 
 Source = Union[str, PathLike, IO[str]]
 

@@ -259,6 +259,14 @@ def test_bad_parameter_values_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+
+def test_check_rejects_samples_below_one_without_relations(tmp_path, capsys):
+    spec = write(tmp_path / "s.prccsl", "clock a\n")
+    trace = passing_trace(tmp_path / "t.csv")
+    assert main(["check", "--spec", spec, "--trace", trace, "--samples", "0"]) == 2
+    assert "--samples must be positive, got 0" in capsys.readouterr().err
+
+
 # Runs main() on its arguments (none: import only) in a fresh interpreter
 # and prints the exit code and the sorted names in sys.modules.
 _PROBE = """\

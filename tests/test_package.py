@@ -27,6 +27,12 @@ def test_every_exported_name_is_its_home_modules_object():
             assert getattr(sys.modules[home], name) is value
 
 
+def test_each_modules_all_is_its_export_table_entry():
+    assert len(prccsl.__all__) == 42
+    for module, names in prccsl._EXPORTS.items():
+        assert tuple(importlib.import_module(f"prccsl.{module}").__all__) == names, module
+
+
 def test_star_import_binds_all_names():
     namespace = {}
     exec("from prccsl import *", namespace)

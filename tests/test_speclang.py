@@ -149,12 +149,33 @@ def test_validation_errors(text, fragment):
         "def d = ms delayfor x on ms\n",
         "rel r: ms ms prob >= 0.5\n",
         "rel r: ms coincides ms prob >= x\n",
+        "set steps \u0663\n",  # Arabic-Indic digits are not spec numbers
+        "rel r: ms coincides ms prob >= \u0660.\u0665\n",
     ],
 )
 def test_syntax_errors(text):
     with pytest.raises(SpecSyntaxError) as err:
         parse(text)
     assert err.value.line >= 1 and err.value.column >= 1
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("set steps \u0663\n", 1, 11),
+        ("clock a\nrel r: a coincides a prob >= \u0660.\u0665\n", 2, 30),
+    ],
+)
+def test_non_ascii_digit_is_an_unexpected_character(text, line, column):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse(text)
+    digit = text.splitlines()[line - 1][column - 1]
+    assert digit.isdigit() and not digit.isascii()
+    assert (err.value.message, err.value.line, err.value.column) == (
+        f"unexpected character {digit!r}",
+        line,
+        column,
+    )
 
 
 def test_error_positions_are_precise():
