@@ -117,6 +117,7 @@ def _exit_code(results: list[CheckResult]) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from .errors import SpecSyntaxError, bad_utf8_position
     from .relations import check_relations
     from .report import build_report
     from .speclang import elaborate, parse
@@ -125,8 +126,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
     started = time.perf_counter()
-    with open(args.spec, "r", encoding="utf-8-sig") as handle:
-        spec = parse(handle.read())
+    try:
+        with open(args.spec, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise SpecSyntaxError("not valid UTF-8", *bad_utf8_position(args.spec)) from None
+    spec = parse(text)
     if args.samples is not None:
         spec = replace(spec, samples=args.samples)
     _, relations = elaborate(spec)

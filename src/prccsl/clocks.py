@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import islice
 from operator import lt
 from typing import Iterable, Mapping, Sequence
 
@@ -81,9 +82,11 @@ class Trace:
             if name not in trace._dates:
                 raise UnknownClockError(f"undeclared clock {name!r}")
             kept = list(steps)
-            if not all(map(lt, kept, kept[1:])):
+            if not all(map(lt, kept, islice(kept, 1, None))):
                 kept = sorted(set(kept))
-            trace._dates[name] = kept[bisect_left(kept, 0):bisect_left(kept, length)]
+            if kept and (kept[0] < 0 or kept[-1] >= length):
+                kept = kept[bisect_left(kept, 0):bisect_left(kept, length)]
+            trace._dates[name] = kept
         trace._length = length
         return trace
 

@@ -18,6 +18,7 @@ step order, freezing its verdict once k reaches N.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
@@ -133,25 +134,31 @@ def _count(
     """
     if kind is RelationKind.COINCIDENCE or kind is RelationKind.EXCLUSION:
         # observations are the dates in the union of both lists
-        shorter, longer = sorted((left, right), key=len)
-        common = set(shorter).intersection(longer)
-        k = len(left) + len(right) - len(common)
+        both = _overlap(left, right)
+        k = len(left) + len(right) - both
         if cap is not None and k > cap:
-            first = sorted(set(left).union(right))[:cap]
-            common = common.intersection(first)
-            k = cap
-        both = len(common)
+            last = sorted(set(left[:cap]).union(right[:cap]))[cap - 1]  # the cap-th union date
+            left, right = left[:bisect_right(left, last)], right[:bisect_right(right, last)]
+            both, k = _overlap(left, right), cap
         return k, both if kind is RelationKind.COINCIDENCE else k - both
     # observations are the left dates; at the j-th one h1 = j
     if cap is not None:
         left = left[:cap]
     if kind is RelationKind.SUBCLOCK:
-        return len(left), len(set(left).intersection(right))
+        return len(left), _overlap(left, right)
     # h2 <= j iff right has at most j dates or right[j] is at or after
     # left[j]; precedes needs it strictly after, since a right tick on
     # the date counts against it
     beats = ge if kind is RelationKind.CAUSALITY else gt
     return len(left), sum(map(beats, right, left)) + max(0, len(left) - len(right))
+
+
+def _overlap(left: list[int], right: list[int]) -> int:
+    """The number of dates in both lists, without building their intersection."""
+    few, many = sorted((left, right), key=len)
+    rest = set(few)
+    rest.difference_update(many)
+    return len(few) - len(rest)
 
 
 def _verdict(spec: RelationSpec, k: int, m: int) -> Verdict:

@@ -17,13 +17,13 @@ import csv
 import io
 from bisect import bisect_left
 from contextlib import contextmanager
-from itertools import chain, compress, islice
-from operator import itemgetter, ne
+from itertools import accumulate, chain, compress
+from operator import add
 from os import PathLike
 from typing import IO, Any, Iterator, Union
 
 from .clocks import Trace
-from .errors import DeclarationError, TraceFormatError
+from .errors import DeclarationError, TraceFormatError, bad_utf8_position
 
 __all__ = ["read_trace", "write_trace", "trace_to_string"]
 
@@ -37,7 +37,10 @@ _CELL_BITS = bytes.maketrans(b"01", b"\0\1")
 def _opened(target: Source, mode: str) -> Iterator[IO[str]]:
     if isinstance(target, (str, PathLike)):
         with open(target, mode, encoding="utf-8", newline="") as handle:
-            yield handle
+            try:
+                yield handle
+            except UnicodeDecodeError:
+                raise TraceFormatError("not valid UTF-8", bad_utf8_position(target)[0]) from None
     else:
         yield target
 
@@ -46,10 +49,10 @@ def write_trace(trace: Trace, sink: Source) -> None:
     """Write ``trace`` as canonical CSV to a path or text stream.
 
     Rows go out in segments of at most ``_BLOCK_ROWS`` rows that never
-    cross a power of ten, so all rows of a segment have one width.  In a
-    segment's buffer of "0" cells, each step digit position is one strided
-    assignment of its repeating digit pattern, and so is "1" for a clock
-    ticking on every row; other ticks are set a byte each.
+    cross a power of ten, so all rows of a segment have one width.  Each
+    segment starts as its ``_blank``, the layout ``read_trace`` checks
+    input against; a clock ticking on every row is one strided "1"
+    assignment, other ticks are set a byte each.
     """
     clocks = trace.clocks
     with _opened(sink, "w") as out:
@@ -59,9 +62,7 @@ def write_trace(trace: Trace, sink: Source) -> None:
             digits = len(str(start))
             stop = min(start + _BLOCK_ROWS, len(trace), 10**digits)
             width = digits + 2 * len(clocks) + 1  # the step, ",0" per clock, "\n"
-            cells = bytearray((b"0" * digits + b",0" * len(clocks) + b"\n") * (stop - start))
-            for pos in range(digits):
-                cells[pos::width] = _digit_column(start, stop, 10 ** (digits - 1 - pos))
+            cells = _blank(start, stop, len(clocks))
             for offset, dates in zip(range(digits + 1, width, 2), map(trace.dates, clocks)):
                 lo, hi = bisect_left(dates, start), bisect_left(dates, stop)
                 if hi - lo == stop - start:
@@ -72,6 +73,16 @@ def write_trace(trace: Trace, sink: Source) -> None:
                     cells[step * width + offset] = 49  # ord("1")
             out.write(cells.decode("ascii"))
             start = stop
+
+
+def _blank(start: int, stop: int, clocks: int) -> bytearray:
+    """Canonical rows for steps [start, stop), all of one digit count, with every cell "0"."""
+    digits = len(str(start))
+    width = digits + 2 * clocks + 1
+    cells = bytearray((b"0" * digits + b",0" * clocks + b"\n") * (stop - start))
+    for pos in range(digits):
+        cells[pos::width] = _digit_column(start, stop, 10 ** (digits - 1 - pos))
+    return cells
 
 
 def _digit_column(start: int, stop: int, unit: int) -> bytes:
@@ -88,19 +99,18 @@ def _digit_column(start: int, stop: int, unit: int) -> bytes:
 def read_trace(source: Source) -> Trace:
     """Parse a trace CSV, validating its structure.
 
-    The body is read ``_BLOCK_ROWS`` lines at a time.  A block of
-    canonical rows (exactly ``str(step)`` then ``",0"`` or ``",1"`` per
-    clock and a newline, as ``write_trace`` renders them) is accepted
-    by whole-block string checks and its ticks are found with
-    ``str.find``.  The first block that is not canonical, and every
-    line after it, goes through ``csv.reader`` row by row, which
-    handles quoting and CRLF line ends and raises every format error.
+    The body is read in the segments ``write_trace`` writes.  A segment
+    is canonical when it is ASCII, has its ``_blank``'s step digits and
+    equals the blank once "1" reads "0"; each column's ticks then come
+    from its strided slice.  From the first segment that is not, every
+    line (ending at "\n", "\r" or "\r\n", as in a file opened by path)
+    goes through ``csv.reader``, which handles quoting and CRLF line ends
+    and raises every format error.
 
-    Raises TraceFormatError (with the 1-based line number) on a
-    malformed header, a non-0/1 cell, a ragged row, a step index
-    that does not match the row position, or a line the csv module
-    cannot parse.  A UTF-8 byte order mark before the header is
-    skipped.
+    Raises TraceFormatError (with the 1-based line number) on a malformed
+    header, a non-0/1 cell, a ragged row, a step index that does not match
+    the row position, a line the csv module cannot parse, or a file that
+    is not UTF-8.  A UTF-8 byte order mark before the header is skipped.
     """
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
@@ -111,16 +121,37 @@ def read_trace(source: Source) -> Trace:
         header_lines = reader.line_num
         columns: list[list[int]] = [[] for _ in clocks]
         step = 0
-        while block := list(islice(handle, _BLOCK_ROWS)):
-            if not _take_block(block, step, columns):
+        while True:
+            digits = len(str(step))
+            width = digits + 2 * len(clocks) + 1
+            text = handle.read((min(step + _BLOCK_ROWS, 10**digits) - step) * width)
+            if not text:
+                break
+            seg = text.encode("ascii", "replace")  # other text is not canonical
+            rows = len(seg) // width
+            blank = _blank(step, step + rows, len(clocks))
+            if (  # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
+                any(seg[pos::width] != blank[pos::width] for pos in range(digits))
+                or seg.replace(b"1", b"0") != blank.replace(b"1", b"0")
+            ):
                 offset = header_lines + step
-                reader = csv.reader(chain(block, handle))
+                chunks = chain([text], iter(lambda: handle.read(len(text)), ""))
+                lines = (io.StringIO(chunk + handle.readline(), newline="") for chunk in chunks)
+                reader = csv.reader(chain.from_iterable(lines))
                 try:
                     step = _read_rows(reader, step, offset, columns)
                 except csv.Error as exc:
                     raise TraceFormatError(str(exc), offset + reader.line_num) from None
                 break
-            step += len(block)
+            for dates, offset in zip(columns, range(digits + 1, width, 2)):
+                cells = seg[offset::width]
+                ones = cells.count(b"1")
+                if 16 * ones > rows:
+                    dates.extend(compress(range(step, step + rows), cells.translate(_CELL_BITS)))
+                else:  # the i-th "1" follows i earlier ones and the gaps before it
+                    gaps = map(len, cells.split(b"1"))
+                    dates.extend(map(add, accumulate(gaps), range(step, step + ones)))
+            step += rows
     return Trace.from_dates(clocks, step, dict(zip(clocks, columns)))
 
 
@@ -137,38 +168,6 @@ def _read_header(reader: Any) -> list[str]:
     except DeclarationError as exc:
         raise TraceFormatError(f"bad header: {exc}", 1) from None
     return clocks
-
-
-def _take_block(lines: list[str], step: int, columns: list[list[int]]) -> bool:
-    """Add the ticks of ``lines`` to ``columns`` if every line is canonical.
-
-    Returns False, leaving ``columns`` unchanged, when any line is not
-    exactly its step index followed by one ",0" or ",1" per column and
-    a newline.
-    """
-    n = len(lines)
-    width = 2 * len(columns) + 1
-    if any(map(ne, map(itemgetter(slice(None, -width)), lines), map(str, range(step, step + n)))):
-        return False
-    text = "".join(map(itemgetter(slice(-width, None)), lines))
-    if len(text) != n * width or text[width - 1::width].count("\n") != n:
-        return False
-    cells = []
-    for col in range(len(columns)):
-        vals = text[2 * col + 1::width]
-        ones = vals.count("1")
-        if text[2 * col::width].count(",") != n or vals.count("0") + ones != n:
-            return False
-        cells.append((vals, ones))
-    for dates, (vals, ones) in zip(columns, cells):
-        if 16 * ones > n:
-            dates.extend(compress(range(step, step + n), vals.encode().translate(_CELL_BITS)))
-            continue
-        pos = vals.find("1")
-        while pos >= 0:
-            dates.append(step + pos)
-            pos = vals.find("1", pos + 1)
-    return True
 
 
 def _read_rows(reader: Any, step: int, lines_before: int, columns: list[list[int]]) -> int:

@@ -119,6 +119,17 @@ def test_check_bad_trace_exits_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_check_invalid_utf8_exits_two_with_its_location(tmp_path, capsys):
+    spec = tmp_path / "s.prccsl"
+    spec.write_bytes(b"\xef\xbb\xbfclock a\r\n# caf\xe9\nclock b\n")
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(b"step,ms,a\n0,1,0\n1,1,1\n2,1,\xff\n")
+    assert main(["check", "--spec", str(spec), "--trace", passing_trace(tmp_path / "ok.csv")]) == 2
+    assert "not valid UTF-8 (line 2, column 6)" in capsys.readouterr().err
+    assert main(["check", "--spec", write(tmp_path / "ok.prccsl", PASSING_SPEC), "--trace", str(trace)]) == 2
+    assert "not valid UTF-8 (line 4)" in capsys.readouterr().err
+
+
 def test_check_missing_file_exits_two(tmp_path, capsys):
     spec = write(tmp_path / "s.prccsl", PASSING_SPEC)
     assert main(["check", "--spec", spec, "--trace", str(tmp_path / "no.csv")]) == 2

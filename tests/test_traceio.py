@@ -1,4 +1,7 @@
+import csv
 import io
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +17,7 @@ from prccsl import (
     trace_to_string,
     write_trace,
 )
+from prccsl import traceio
 from prccsl.traceio import _BLOCK_ROWS
 
 
@@ -97,7 +101,11 @@ def block_trace(steps: int) -> Trace:
     return Trace.from_dates(["ms", "a", "b"], steps, dates)
 
 
-@pytest.mark.parametrize("steps", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize(
+    "steps",
+    [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    + [10**d + e for d in range(1, 5) for e in (-1, 0, 1)],  # segments also end at powers of ten
+)
 def test_round_trip_at_block_boundaries(tmp_path, steps):
     original = block_trace(steps)
     text = trace_to_string(original)
@@ -131,6 +139,47 @@ def test_errors_in_second_block_carry_absolute_line(row, fragment):
         read_trace(io.StringIO(text))
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("first", [10, 1000])
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        ("{s},1,2,0", "must be 0 or 1"),
+        ("{s}9,1,0,0", "non-consecutive step index"),
+        ("{s};1;0;0", "row has 1 fields"),
+    ],
+)
+def test_errors_after_a_power_of_ten_carry_absolute_line(tmp_path, first, row, fragment):
+    line = first + 2  # the header, then step 0 on line 2
+    text = edit_line(trace_to_string(block_trace(2 * first)), line, row.format(s=first))
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(source)
+        assert err.value.line == line
+        assert fragment in str(err.value)
+
+
+def test_canonical_text_never_reaches_the_row_parser(tmp_path):
+    text = trace_to_string(block_trace(10001))
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(traceio, "_read_rows", side_effect=AssertionError("row parser reached")):
+        for rows in (3, 1000, _BLOCK_ROWS):
+            with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+                assert trace_to_string(read_trace(path)) == text
+                assert trace_to_string(read_trace(io.StringIO(text))) == text
+
+
+def test_invalid_utf8_reports_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"step,ms,a\n0,1,0\n1,1,1\n2,1,\xff\n3,1,0\n")
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == 4
+    assert "not valid UTF-8" in str(err.value)
 
 
 def test_quoting_crlf_and_missing_final_newline_in_second_block():
@@ -191,3 +240,76 @@ def test_writer_matches_naive_rendering(tmp_path, sizes, data):
     path = tmp_path / "t.csv"
     write_trace(trace, path)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def reference_read(text: str):
+    """(clocks, steps, dates) of a trace CSV, or the line of its first
+    error, from one ``csv.reader`` pass over rows; shares no code with
+    ``read_trace``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if not header or header[0].removeprefix("\ufeff") != "step":
+            return 1
+        clocks = header[1:]
+        valid = all(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) for name in clocks)
+        if not valid or len(set(clocks)) != len(clocks):
+            return 1
+        dates = {name: [] for name in clocks}
+        step = 0
+        for row in reader:
+            if len(row) != len(header) or row[0] != str(step) or not set(row[1:]) <= {"0", "1"}:
+                return reader.line_num
+            for name, cell in zip(clocks, row[1:]):
+                if cell == "1":
+                    dates[name].append(step)
+            step += 1
+    except csv.Error:
+        return reader.line_num
+    return tuple(clocks), step, dates
+
+
+@st.composite
+def edited_csvs(draw):
+    steps = draw(st.integers(0, 130))
+    clocks = ["ms", "a", "b"][: draw(st.integers(0, 3))]
+    dates = {name: draw(st.lists(st.integers(0, max(steps - 1, 0)), max_size=steps)) for name in clocks}
+    text = trace_to_string(Trace.from_dates(clocks, steps, dates))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "crlf"]))
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(list('012,\n\r"\u00e9 ')))
+        text = {
+            "replace": text[:at] + char + text[at + 1:],
+            "insert": text[:at] + char + text[at:],
+            "delete": text[:at] + text[at + 1:],
+            "truncate": text[:at],
+            "crlf": text.replace("\n", "\r\n"),
+        }[edit]
+    return text
+
+
+def outcome(source):
+    try:
+        trace = read_trace(source)
+    except TraceFormatError as exc:
+        return str(exc), exc.line
+    return trace.clocks, len(trace), {name: trace.dates(name) for name in trace.clocks}
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=edited_csvs())
+def test_reader_matches_csv_reader_reference_at_any_segment_size(text):
+    # the reference splits lines as a path is read, at "\n", "\r" or
+    # "\r\n"; a default StringIO splits the header at "\n" only, so it
+    # joins the check of segment independence but not the comparison
+    outcomes = []
+    for rows in (1, 3, _BLOCK_ROWS):
+        with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+            outcomes.append((outcome(io.StringIO(text, newline="")), outcome(io.StringIO(text))))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    expected = reference_read(text)
+    if isinstance(expected, int):
+        assert outcomes[0][0][1] == expected
+    else:
+        assert outcomes[0][0] == expected
