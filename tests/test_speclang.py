@@ -184,6 +184,54 @@ def test_error_positions_are_precise():
     assert (err.value.line, err.value.column) == (2, 20)
 
 
+_SYN, _VAL = SpecSyntaxError, SpecValidationError
+
+
+# one input per place the parser raises: (text, type, message, line, column)
+_ERROR_TABLE = [
+    ("clock a $\n", _SYN, "unexpected character '$'", 1, 9),
+    ("rel r: ms coincides ms >= 0.5\n", _SYN, "expected 'prob', found '>='", 1, 24),
+    ("def d periodicon ms period 2\n", _SYN, "expected '=', found keyword 'periodicon'", 1, 7),
+    ("clock on\n", _SYN, "keyword 'on' cannot be used as a clock name", 1, 7),
+    ("clock 9a\n", _SYN, "expected a clock name, found '9'", 1, 7),
+    ("def d = ms delayfor x on ms\n", _SYN, "expected the delay, found 'x'", 1, 21),
+    ("clock a\nms\n", _SYN, "expected a statement, found 'ms'", 2, 1),
+    ("rel r: ms ms prob >= 0.5\n", _SYN, "expected a relation operator, found 'ms'", 1, 11),
+    ("rel r: ms coincides ms prob >= x\n", _SYN, "expected a probability, found 'x'", 1, 32),
+    ("set speed 3\n", _SYN, "expected 'steps' or 'samples', found 'speed'", 1, 5),
+    ("clock a\ndef d = \n", _SYN, "expected an expression, found end of file", 3, 1),
+    ("clock a\ndef p = periodicon a period 1.5\n", _VAL, "the period must be an integer, got 1.5", 2, 29),
+    (f"set steps {_TOO_LONG}\n", _VAL, "the steps value has too many digits", 1, 11),
+    ("set samples 0\n", _VAL, "the samples value must be at least 1, got 0", 1, 13),
+    ("clock a\nclock a\n", _VAL, "duplicate name 'a'", 2, 7),
+    ("clock a\nrel r: a coincides nope prob >= 0.5\n", _VAL, "unknown name 'nope'", 2, 20),
+    (
+        "clock a\nrel r: a coincides ms prob >= 0.5\nrel q: r excludes ms prob >= 0.5\n",
+        _VAL,
+        "'r' is a relation id, not a clock or definition",
+        3,
+        8,
+    ),
+    ("def d = " + "(" * 101 + "ms" + ")" * 101 + "\n", _VAL, "expression nested deeper than 100 levels", 1, 109),
+    (f"rel r: ms coincides ms prob >= 0.{_TOO_LONG}\n", _VAL, "threshold has too many digits", 1, 32),
+    ("rel r: ms coincides ms prob >= 1.5\n", _VAL, "threshold out of range: 1.5", 1, 32),
+    ("set steps 10\nset steps 20\n", _VAL, "duplicate 'set steps'", 2, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text,error,message,line,column", _ERROR_TABLE, ids=[row[2] for row in _ERROR_TABLE]
+)
+def test_every_parser_error_is_exact(text, error, message, line, column):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+    # no chained exception shows through, not even int()'s digit-limit ValueError
+    assert err.value.__cause__ is None
+    assert err.value.__context__ is None or err.value.__suppress_context__
+
+
 def test_pretty_print_canonical_forms():
     assert format_expr(Ref("a")) == "a"
     assert format_expr(PeriodicOn(Ref("ms"), 50)) == "(periodicon ms period 50)"
