@@ -26,7 +26,6 @@ from .errors import PrccslError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .relations import CheckResult
     from .simulator import FaultSpec
 
 __all__ = ["main"]
@@ -89,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict[str, Any], args: argparse.Namespace) -> None:
+def _emit(report: dict[str, Any], args: argparse.Namespace) -> int:
+    """Write ``report`` as ``args`` ask and return the exit status it calls for."""
     import json
 
     if args.out:
@@ -102,16 +102,8 @@ def _emit(report: dict[str, Any], args: argparse.Namespace) -> None:
         from .report import render_text
 
         print(render_text(report), end="")
-
-
-def _exit_code(results: list[CheckResult]) -> int:
-    from .relations import RelationError
-
-    if any(isinstance(result, RelationError) for result in results):
-        return 2
-    if any(result.outcome == "fail" for result in results):
-        return 1
-    return 0
+    summary = report["summary"]
+    return 2 if summary["error"] else 1 if summary["fail"] else 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -136,16 +128,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         spec = replace(spec, samples=args.samples)
     _, relations = elaborate(spec)
     trace = read_trace(args.trace)
-    results = check_relations(relations, trace)
     report = build_report(
         spec=args.spec,
         trace={"path": args.trace, "steps": len(trace)},
         settings={"steps": spec.steps, "samples": spec.samples},
-        results=results,
+        results=check_relations(relations, trace),
         duration_seconds=time.perf_counter() - started,
     )
-    _emit(report, args)
-    return _exit_code(results)
+    return _emit(report, args)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -184,7 +174,6 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
         steps = spec.steps if spec.steps is not None else _DEFAULT_STEPS
     params = AVParams(seed=args.seed, steps=steps)
     trace = simulate(params) if args.fault is None else simulate_faulty(params, args.fault)
-    results = check_relations(relations, trace)
     fault = None if args.fault is None else f"{args.fault.target}:{args.fault.rate}"
     report = build_report(
         spec=f"{_BUNDLED_SPEC} (bundled)",
@@ -194,11 +183,10 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
             "samples": spec.samples,
             "threshold": str(args.threshold) if args.threshold is not None else None,
         },
-        results=results,
+        results=check_relations(relations, trace),
         duration_seconds=time.perf_counter() - started,
     )
-    _emit(report, args)
-    return _exit_code(results)
+    return _emit(report, args)
 
 
 _COMMANDS = {

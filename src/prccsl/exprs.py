@@ -109,9 +109,11 @@ def _hash_once(field_hash: Callable[[ClockExpr], int]) -> Callable[[ClockExpr], 
 # Definitions that reuse one another make an expression a DAG whose tree
 # form is exponentially large.  The dataclass hash walks that tree on
 # every call, so each node keeps its hash after the first, computed from
-# its operands' kept hashes.
+# its operands' kept hashes.  A kept hash holds only in its own process
+# (str hashes are salted), so a node pickles as its constructor call.
 for _node in (Ref, PeriodicOn, DelayFor, Inf, Sup):
     _node.__hash__ = _hash_once(_node.__hash__)  # type: ignore[method-assign]
+    _node.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, self.__match_args__)))
 
 
 def _check_operand(value: object, role: str) -> None:

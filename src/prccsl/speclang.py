@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .clocks import UNIVERSAL_CLOCK
@@ -113,18 +114,21 @@ class SpecFile:
 # -- tokenizer ----------------------------------------------------------
 
 
-# type is "kw" | "ident" | "number" | "sym" | "eof"
+# type is "kw" | "ident" | "number" | "sym" | "eof".  Keywords are stored
+# lower-cased and reserved, so no identifier, number or eof token has the
+# text of a keyword or symbol: the text alone identifies those tokens.
 _Token = namedtuple("_Token", "type text line column")
 
 
+# every character matches one alternative, so finditer scans the whole text
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
       | (?P<number>[0-9]+(?:\.[0-9]+)?)
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<ge>>=)
-      | (?P<sym>[(),:=])
+      | (?P<sym>>=|[(),:=])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -132,32 +136,22 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise SpecSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, value = match.lastgroup, match.group()
         column = match.start() - line_start + 1
-        value = match.group()
         if kind == "nl":
-            line += 1
-            line_start = match.end()
-        elif kind == "number":
-            tokens.append(_Token("number", value, line, column))
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise SpecSyntaxError(f"unexpected character {value!r}", line, column)
         elif kind == "word":
             lowered = value.lower()
             if lowered in KEYWORDS:
                 tokens.append(_Token("kw", lowered, line, column))
             else:
                 tokens.append(_Token("ident", value, line, column))
-        elif kind in ("ge", "sym"):
-            tokens.append(_Token("sym", value, line, column))
-        pos = match.end()
+        elif kind in ("number", "sym"):
+            tokens.append(_Token(kind, value, line, column))
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -188,50 +182,36 @@ class _Parser:
         self.pos += 1
         return token
 
-    def fail(self, message: str, token: _Token):
-        raise SpecSyntaxError(message, token.line, token.column)
+    def fail(self, message: str, token: _Token, error: type = SpecSyntaxError):
+        # from None: an error raised while handling a ValueError hides it
+        raise error(message, token.line, token.column) from None
 
-    def expect_kw(self, word: str) -> _Token:
+    def expect(self, text: str) -> _Token:
+        """Consume the keyword or symbol ``text``."""
         token = self.peek()
-        if token.type == "kw" and token.text == word:
+        if token.text == text:
             return self.advance()
-        self.fail(f"expected '{word}', found {_describe(token)}", token)
+        self.fail(f"expected '{text}', found {_describe(token)}", token)
 
-    def expect_sym(self, sym: str) -> _Token:
+    def expect_type(self, kind: str, role: str) -> _Token:
+        """Consume an "ident" or "number" token, described as ``role``."""
         token = self.peek()
-        if token.type == "sym" and token.text == sym:
+        if token.type == kind:
             return self.advance()
-        self.fail(f"expected '{sym}', found {_describe(token)}", token)
-
-    def expect_ident(self, role: str) -> _Token:
-        token = self.peek()
-        if token.type == "ident":
-            return self.advance()
-        if token.type == "kw":
+        if token.type == "kw" and kind == "ident":
             self.fail(f"keyword '{token.text}' cannot be used as {role}", token)
         self.fail(f"expected {role}, found {_describe(token)}", token)
 
     def expect_nat(self, role: str, minimum: int = 1) -> int:
-        token = self.peek()
-        if token.type != "number":
-            self.fail(f"expected {role}, found {_describe(token)}", token)
-        self.advance()
+        token = self.expect_type("number", role)
         if "." in token.text:
-            raise SpecValidationError(
-                f"{role} must be an integer, got {token.text}", token.line, token.column
-            )
+            self.fail(f"{role} must be an integer, got {token.text}", token, SpecValidationError)
         try:
             value = int(token.text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise SpecValidationError(
-                f"{role} has too many digits", token.line, token.column
-            ) from None
+            self.fail(f"{role} has too many digits", token, SpecValidationError)
         if value < minimum:
-            raise SpecValidationError(
-                f"{role} must be at least {minimum}, got {value}",
-                token.line,
-                token.column,
-            )
+            self.fail(f"{role} must be at least {minimum}, got {value}", token, SpecValidationError)
         return value
 
     # namespace ---------------------------------------------------------
@@ -239,52 +219,34 @@ class _Parser:
     def declare(self, token: _Token, depth: int | None) -> None:
         name = token.text
         if name in self.names:
-            raise SpecValidationError(
-                f"duplicate name {name!r}", token.line, token.column
-            )
+            self.fail(f"duplicate name {name!r}", token, SpecValidationError)
         self.names[name] = depth
 
     def resolve(self, token: _Token) -> int:
         """Return the inlined depth of the clock or definition ``token`` names."""
         name = token.text
         if name not in self.names:
-            raise SpecValidationError(f"unknown name {name!r}", token.line, token.column)
+            self.fail(f"unknown name {name!r}", token, SpecValidationError)
         depth = self.names[name]
         if depth is None:
-            raise SpecValidationError(
-                f"{name!r} is a relation id, not a clock or definition",
-                token.line,
-                token.column,
-            )
+            message = f"{name!r} is a relation id, not a clock or definition"
+            self.fail(message, token, SpecValidationError)
         return depth
 
     def within_limit(self, depth: int, token: _Token) -> int:
         """Return ``depth`` if it is within _MAX_DEPTH, else raise at ``token``."""
         if depth > _MAX_DEPTH:
-            raise SpecValidationError(
-                f"expression nested deeper than {_MAX_DEPTH} levels",
-                token.line,
-                token.column,
-            )
+            message = f"expression nested deeper than {_MAX_DEPTH} levels"
+            self.fail(message, token, SpecValidationError)
         return depth
 
     # grammar -----------------------------------------------------------
 
     def parse_file(self) -> SpecFile:
-        while True:
-            token = self.peek()
-            if token.type == "eof":
-                break
-            if token.type != "kw" or token.text not in ("clock", "def", "rel", "set"):
+        while (token := self.peek()).type != "eof":
+            if token.text not in ("clock", "def", "rel", "set"):
                 self.fail(f"expected a statement, found {_describe(token)}", token)
-            if token.text == "clock":
-                self.parse_clock()
-            elif token.text == "def":
-                self.parse_def()
-            elif token.text == "rel":
-                self.parse_rel()
-            else:
-                self.parse_set()
+            getattr(self, f"parse_{token.text}")()
         return SpecFile(
             clocks=tuple(self.clocks),
             definitions=tuple(self.definitions),
@@ -294,44 +256,37 @@ class _Parser:
 
     def parse_clock(self) -> None:
         self.advance()
-        token = self.expect_ident("a clock name")
+        token = self.expect_type("ident", "a clock name")
         self.declare(token, 0)
         self.clocks.append(token.text)
 
     def parse_def(self) -> None:
         self.advance()
-        token = self.expect_ident("a definition name")
-        self.expect_sym("=")
+        token = self.expect_type("ident", "a definition name")
+        self.expect("=")
         expr, depth = self.parse_expr(0)
         self.declare(token, depth)
         self.definitions.append(Definition(token.text, expr))
 
     def parse_rel(self) -> None:
         self.advance()
-        token = self.expect_ident("a relation id")
-        self.expect_sym(":")
+        token = self.expect_type("ident", "a relation id")
+        self.expect(":")
         left, _ = self.parse_expr(0)
         op = self.peek()
-        if op.type != "kw" or op.text not in _RELOPS:
+        if op.text not in _RELOPS:
             self.fail(f"expected a relation operator, found {_describe(op)}", op)
         self.advance()
         right, _ = self.parse_expr(0)
-        self.expect_kw("prob")
-        self.expect_sym(">=")
-        number = self.peek()
-        if number.type != "number":
-            self.fail(f"expected a probability, found {_describe(number)}", number)
-        self.advance()
+        self.expect("prob")
+        self.expect(">=")
+        number = self.expect_type("number", "a probability")
         try:
             threshold = Fraction(number.text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise SpecValidationError(
-                "threshold has too many digits", number.line, number.column
-            ) from None
+            self.fail("threshold has too many digits", number, SpecValidationError)
         if not 0 <= threshold <= 1:
-            raise SpecValidationError(
-                f"threshold out of range: {number.text}", number.line, number.column
-            )
+            self.fail(f"threshold out of range: {number.text}", number, SpecValidationError)
         self.declare(token, None)
         self.relations.append(
             RelationSpec(token.text, _RELOPS[op.text], left, right, threshold)
@@ -340,14 +295,12 @@ class _Parser:
     def parse_set(self) -> None:
         keyword = self.advance()
         token = self.peek()
-        if token.type != "kw" or token.text not in ("steps", "samples"):
+        if token.text not in ("steps", "samples"):
             self.fail(f"expected 'steps' or 'samples', found {_describe(token)}", token)
         self.advance()
         value = self.expect_nat(f"the {token.text} value", minimum=0 if token.text == "steps" else 1)
         if token.text in self.settings:
-            raise SpecValidationError(
-                f"duplicate 'set {token.text}'", keyword.line, keyword.column
-            )
+            self.fail(f"duplicate 'set {token.text}'", keyword, SpecValidationError)
         self.settings[token.text] = value
 
     def parse_expr(self, depth: int) -> tuple[ClockExpr, int]:
@@ -359,10 +312,10 @@ class _Parser:
         expr, reach = self.parse_atom(depth)
         while True:
             token = self.peek()
-            if token.type == "kw" and token.text == "delayfor":
+            if token.text == "delayfor":
                 self.advance()
                 delay = self.expect_nat("the delay")
-                self.expect_kw("on")
+                self.expect("on")
                 ref, ref_reach = self.parse_atom(depth + 1)
                 expr = DelayFor(expr, delay, ref)
                 # the new root pushes everything parsed so far one node down
@@ -376,26 +329,26 @@ class _Parser:
         if token.type == "ident":
             self.advance()
             return Ref(token.text), self.within_limit(depth + self.resolve(token), token)
-        if token.type == "sym" and token.text == "(":
+        if token.text == "(":
             self.advance()
             self.open_parens = self.within_limit(self.open_parens + 1, token)
             result = self.parse_expr(depth)
-            self.expect_sym(")")
+            self.expect(")")
             self.open_parens -= 1
             return result
-        if token.type == "kw" and token.text == "periodicon":
+        if token.text == "periodicon":
             self.advance()
             base, reach = self.parse_expr(depth + 1)
-            self.expect_kw("period")
+            self.expect("period")
             period = self.expect_nat("the period")
             return PeriodicOn(base, period), reach
-        if token.type == "kw" and token.text in ("inf", "sup"):
+        if token.text in ("inf", "sup"):
             self.advance()
-            self.expect_sym("(")
+            self.expect("(")
             left, left_reach = self.parse_expr(depth + 1)
-            self.expect_sym(",")
+            self.expect(",")
             right, right_reach = self.parse_expr(depth + 1)
-            self.expect_sym(")")
+            self.expect(")")
             node = Inf(left, right) if token.text == "inf" else Sup(left, right)
             return node, max(left_reach, right_reach)
         self.fail(f"expected an expression, found {_describe(token)}", token)
@@ -459,23 +412,18 @@ def format_expr(expr: ClockExpr) -> str:
 
 def format_threshold(value: Fraction) -> str:
     """Exact decimal rendering of a rational whose denominator is 2^a 5^b."""
-    denominator = value.denominator
-    if denominator == 1:
-        return str(value.numerator)
-    twos = fives = 0
-    rest = denominator
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        raise ValueError(f"{value} has no finite decimal form")
-    digits = max(twos, fives)
-    scaled = value.numerator * 10**digits // denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}"
+    numerator, denominator = value.numerator, value.denominator
+    with localcontext() as context:
+        # n / (2^a 5^b) = n 2^(k-a) 5^(k-b) / 10^k with k = max(a, b), which
+        # has at most digits(n) + k significant digits; both are bounded by
+        # bit lengths, so the quotient is inexact only without a finite form
+        context.prec = numerator.bit_length() + denominator.bit_length()
+        context.traps[Inexact] = True
+        try:
+            quotient = Decimal(numerator) / denominator
+        except Inexact:
+            raise ValueError(f"{value} has no finite decimal form") from None
+    return f"{quotient:f}"
 
 
 # -- elaborator ---------------------------------------------------------

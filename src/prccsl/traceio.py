@@ -99,13 +99,14 @@ def _digit_column(start: int, stop: int, unit: int) -> bytes:
 def read_trace(source: Source) -> Trace:
     """Parse a trace CSV, validating its structure.
 
-    The body is read in the segments ``write_trace`` writes.  A segment
-    is canonical when it is ASCII, has its ``_blank``'s step digits and
-    equals the blank once "1" reads "0"; each column's ticks then come
-    from its strided slice.  From the first segment that is not, every
-    line (ending at "\n", "\r" or "\r\n", as in a file opened by path)
-    goes through ``csv.reader``, which handles quoting and CRLF line ends
-    and raises every format error.
+    A path and a text stream are read alike: every line, the header's
+    too, ends at "\n", "\r" or "\r\n", whatever the stream's own line
+    splitting.  The body is read in the segments ``write_trace`` writes.
+    A segment is canonical when it is ASCII, has its ``_blank``'s step
+    digits and equals the blank once "1" reads "0"; each column's ticks
+    then come from its strided slice.  From the first segment that is
+    not, every line goes through ``csv.reader``, which handles quoting
+    and CRLF line ends and raises every format error.
 
     Raises TraceFormatError (with the 1-based line number) on a malformed
     header, a non-0/1 cell, a ragged row, a step index that does not match
@@ -113,12 +114,15 @@ def read_trace(source: Source) -> Trace:
     is not UTF-8.  A UTF-8 byte order mark before the header is skipped.
     """
     with _opened(source, "r") as handle:
-        reader = csv.reader(handle)
+        first = io.StringIO(handle.readline(), newline="")  # a stream may end lines at "\n" only
+        reader = csv.reader(chain(first, handle))
         try:
             clocks = _read_header(reader)
         except csv.Error as exc:
             raise TraceFormatError(str(exc), reader.line_num) from None
         header_lines = reader.line_num
+        if rest := first.read():  # the body began inside the stream's first line
+            handle = io.StringIO(rest + handle.read(), newline="")
         columns: list[list[int]] = [[] for _ in clocks]
         step = 0
         while True:

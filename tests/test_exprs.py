@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +134,27 @@ def test_eval_expr_shared_cache_reused():
     first = eval_expr(Inf(Ref("a"), Ref("b")), t, cache)
     again = eval_expr(Inf(Ref("a"), Ref("b")), t, cache)
     assert first is again
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_NODE = 'Sup(DelayFor(PeriodicOn(Ref("a"), 2), 1, Ref("ms")), Inf(Ref("a"), Ref("b")))'
+_IMPORTS = "import copy, pickle, sys\nfrom prccsl import DelayFor, Inf, PeriodicOn, Ref, Sup\n"
+
+
+def _python(hash_seed: str, code: str, data: bytes = b"") -> bytes:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+    return subprocess.run(
+        [sys.executable, "-c", _IMPORTS + code], input=data, capture_output=True, env=env, check=True
+    ).stdout
+
+
+def test_unpickled_node_hashes_in_its_own_process():
+    # str hashes differ between the two seeds, and so do the nodes' kept hashes
+    dumped = _python("1", f"e = {_NODE}\nhash(e)\nsys.stdout.buffer.write(pickle.dumps(e))")
+    checks = _python(
+        "2",
+        f"e = pickle.loads(sys.stdin.buffer.read())\nf = {_NODE}\n"
+        "print(e == f, hash(e) == hash(f), e in {f}, f in {e}, copy.deepcopy(e) in {f})",
+        dumped,
+    )
+    assert checks.split() == [b"True"] * 5

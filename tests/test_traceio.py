@@ -301,15 +301,14 @@ def outcome(source):
 @given(text=edited_csvs())
 def test_reader_matches_csv_reader_reference_at_any_segment_size(text):
     # the reference splits lines as a path is read, at "\n", "\r" or
-    # "\r\n"; a default StringIO splits the header at "\n" only, so it
-    # joins the check of segment independence but not the comparison
+    # "\r\n"; so must read_trace, whatever line splitting the stream has
     outcomes = []
     for rows in (1, 3, _BLOCK_ROWS):
         with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
-            outcomes.append((outcome(io.StringIO(text, newline="")), outcome(io.StringIO(text))))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+            outcomes += [outcome(io.StringIO(text, newline="")), outcome(io.StringIO(text))]
+    assert all(other == outcomes[0] for other in outcomes)
     expected = reference_read(text)
     if isinstance(expected, int):
-        assert outcomes[0][0][1] == expected
+        assert outcomes[0][1] == expected
     else:
-        assert outcomes[0][0] == expected
+        assert outcomes[0] == expected
