@@ -49,9 +49,10 @@ class Trace:
 
     Storage is one sorted list of tick steps per clock plus the length,
     so memory grows with the number of ticks, not with steps x clocks.
-    A trace is built complete, by ``from_dates``, and never mutated
-    afterwards, so instances are safe to share.  ``Trace(clocks)`` is
-    the empty trace over a validated alphabet.
+    A trace is built complete, by ``from_dates`` (the simulator and the
+    CSV reader, whose lists are already sorted, use ``_from_sorted``),
+    and never mutated afterwards, so instances are safe to share.
+    ``Trace(clocks)`` is the empty trace over a validated alphabet.
     """
 
     __slots__ = ("_clocks", "_dates", "_length")
@@ -75,18 +76,36 @@ class Trace:
 
         Dates outside [0, length) are ignored and repeated dates count
         once, so schedules may be generated in any order without
-        worrying about the trace boundary.  The trace keeps its own copy.
+        worrying about the trace boundary.  Each input is read once into
+        a new sorted list, so the trace never shares the caller's lists.
+        A clock not in ``dates`` never ticks; a name in ``dates`` that is
+        not in ``clocks`` raises UnknownClockError.
+        """
+        kept: dict[str, list[int]] = {}
+        for name, steps in dates.items():
+            ticks = list(steps)
+            if not all(map(lt, ticks, islice(ticks, 1, None))):
+                ticks = sorted(set(ticks))
+            if ticks and (ticks[0] < 0 or ticks[-1] >= length):
+                ticks = ticks[bisect_left(ticks, 0):bisect_left(ticks, length)]
+            kept[name] = ticks
+        return cls._from_sorted(clocks, length, kept)
+
+    @classmethod
+    def _from_sorted(
+        cls, clocks: Sequence[str], length: int, dates: Mapping[str, list[int]]
+    ) -> "Trace":
+        """The trace that stores the lists of ``dates`` themselves.
+
+        Each list must already be strictly increasing inside [0, length);
+        it is neither copied nor checked, and clocks given one list share
+        it, so the caller hands the lists over and never changes them.
         """
         trace = cls(clocks)
-        for name, steps in dates.items():
+        for name in dates:
             if name not in trace._dates:
                 raise UnknownClockError(f"undeclared clock {name!r}")
-            kept = list(steps)
-            if not all(map(lt, kept, islice(kept, 1, None))):
-                kept = sorted(set(kept))
-            if kept and (kept[0] < 0 or kept[-1] >= length):
-                kept = kept[bisect_left(kept, 0):bisect_left(kept, length)]
-            trace._dates[name] = kept
+        trace._dates.update(dates)
         trace._length = length
         return trace
 

@@ -33,14 +33,27 @@ sporadic dwell.  A run is configured by ``AVParams(seed=..., steps=...)``
 alone.  All randomness comes from named substreams seeded as
 "<seed>/<name>", so identical parameters give byte-identical traces and
 adding a new stochastic source does not perturb the existing ones.
+
+Integer draws read a stream's 32-bit generator outputs directly, in
+batches from the public ``getrandbits``: a value in [lo, hi] keeps the
+top ``span.bit_length()`` bits of one output and is drawn again while
+it is at least the span.  That is the algorithm ``randint`` uses, so the
+traces equal those of ``randint`` calls, but they rest only on the
+Mersenne Twister's output sequence, not on how a Python version
+implements ``randint``.  Only the obstacle stream (``random()``) and the
+fault stream (``random()`` mixed with ``randint()``) call ``Random``
+methods.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, chain, islice, repeat
+from operator import add, rshift
+from struct import unpack
+from typing import Iterator
 
 from .clocks import UNIVERSAL_CLOCK, Trace
 from .errors import FaultTargetError
@@ -186,38 +199,74 @@ def monotone(steps: list[int]) -> list[int]:
     return list(accumulate(steps, lambda last, at: at if at > last else last + 1))
 
 
+_WORD_BATCHES = (16, 64, 256, 1024)  # outputs per getrandbits call; the last repeats
+
+
+def words(rng: random.Random) -> Iterator[int]:
+    """The successive 32-bit outputs of ``rng``'s generator.
+
+    ``getrandbits(32 * m)`` packs the next m outputs into one integer,
+    the first in the lowest 32 bits, so its little-endian bytes hold them
+    in order.  Batches grow, so a short run takes few outputs.
+    """
+    sizes = chain(_WORD_BATCHES, repeat(_WORD_BATCHES[-1]))
+    return chain.from_iterable(
+        unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little")) for m in sizes
+    )
+
+
+def uniform(source: Iterator[int], lo: int, hi: int) -> Iterator[int]:
+    """Integers in [lo, hi], each drawn as ``randint(lo, hi)`` draws it.
+
+    For a span of at most 2**32, ``randint`` keeps the top
+    ``span.bit_length()`` bits of one 32-bit output and draws again while
+    that value is at least the span, so the values equal successive
+    ``randint`` calls on the generator ``source`` reads.  Pulled lazily:
+    iterators over one source interleave their draws in the order they
+    are advanced.
+    """
+    span = hi - lo + 1
+    return (lo + r for r in map(rshift, source, repeat(32 - span.bit_length())) if r < span)
+
+
 def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
     n = params.steps
     dates: dict[str, list[int]] = {name: [] for name in ALPHABET}
+    target, rate = fault if fault is not None else (None, 0.0)
 
     def stream(name: str) -> random.Random:
         return random.Random(f"{params.seed}/{name}")
 
+    def draws(name: str, window: tuple[int, int]) -> Iterator[int]:
+        return uniform(words(stream(name)), *window)
+
     fault_rng = stream("fault")
 
-    def hit(family: str) -> bool:
-        # draw from the fault stream only for the targeted family
-        return fault is not None and fault.target == family and fault_rng.random() < fault.rate
+    def hit() -> bool:
+        return fault_rng.random() < rate
 
     def periodic(period: int, family: str) -> list[int]:
+        if family != target:
+            return list(range(0, n, period))
         jitter = _PERIODIC_FAULT_JITTER[family]
         return [
-            step + fault_rng.randint(1, jitter) if hit(family) else step
-            for step in range(0, n, period)
+            step + fault_rng.randint(1, jitter) if hit() else step for step in range(0, n, period)
         ]
 
     def stage(anchors: list[int], name: str, window: tuple[int, int], family: str) -> list[int]:
         """Each anchor plus one latency from ``name`` (or the fault range on a hit), clamped."""
-        randint = stream(name).randint
-        faulty = _EXEC_FAULT_RANGES[family]
-        return monotone([at + randint(*(faulty if hit(family) else window)) for at in anchors])
+        source = words(stream(name))
+        latencies = uniform(source, *window)
+        if family == target:  # both ranges draw from one source, in anchor order
+            normal, stretched = latencies, uniform(source, *_EXEC_FAULT_RANGES[family])
+            latencies = (next(stretched if hit() else normal) for _ in anchors)
+        return monotone(list(map(add, anchors, latencies)))
 
     def ports(anchors: list[int], names: tuple[str, ...], name: str, window: int) -> None:
         """Each port's clock: each anchor plus an offset in [0, window], clamped."""
-        randint = stream(name).randint
-        draws = [randint(0, window) for _ in range(len(anchors) * len(names))]
+        offsets = list(islice(draws(name, (0, window)), len(anchors) * len(names)))
         for i, port in enumerate(names):  # drawn trigger-major, port-minor
-            dates[port] = monotone(list(map(add, anchors, draws[i :: len(names)])))
+            dates[port] = monotone(list(map(add, anchors, offsets[i :: len(names)])))
 
     dates[UNIVERSAL_CLOCK] = list(range(n))
     dates["signTrig"] = periodic(_SIGNREC_PERIOD, "periodic-R2")
@@ -226,8 +275,8 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
     dates["cmrTrig"] = periodic(_CAMERA_PERIOD, "periodic-R1")
 
     # -- frame pipeline: one clock at a time ----------------------------
-    # A clock that copies a strictly monotone upstream clock is that list;
-    # Trace.from_dates copies every list, so the trace shares none of them.
+    # A clock that copies a strictly monotone upstream clock is that list,
+    # and the trace keeps it shared.
 
     cmr_out = stage(dates["cmrTrig"], "camera-exec", _EXEC_CAMERA, "exec-R6")
     dates["cmrOut"] = dates["imIn"] = cmr_out
@@ -244,30 +293,29 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
 
     # -- recognized signs: detections, start-of-action commands, Stop ----
 
-    sign_type = stream("sign-type").randrange
-    signs = [sign_type(_SIGN_TYPE_COUNT) for _ in sign_out]
-    latency = stream("start-latency").randint
+    signs = draws("sign-type", (0, _SIGN_TYPE_COUNT - 1))
+    latency = draws("start-latency", _START_LATENCY)
     for at, sign in zip(sign_out, signs):
         if sign < len(_MANEUVERS):
             detect, start, _ = _MANEUVERS[sign]
             dates[detect].append(at)
-            dates[start].append(at + latency(*_START_LATENCY))
+            dates[start].append(at + next(latency))
     commands: list[tuple[int, int, str]] = []  # (step, priority, action)
     for _, start, action in _MANEUVERS:
         dates[start] = monotone(dates[start])
         commands += [(t, 2, action) for t in dates[start]]
-    brake = stream("brake-to-stop").randint
-    dates["Stop"] = monotone([t + brake(*_BRAKE_TO_STOP) for t in dates["startBrake"]])
+    brake = draws("brake-to-stop", _BRAKE_TO_STOP)
+    dates["Stop"] = monotone(list(map(add, dates["startBrake"], brake)))
 
     # -- obstacle episodes ----------------------------------------------
 
     entries: list[int] = []
     recoveries: list[int] = []
     rearm = -1  # obstacle detection re-armed strictly after this step
-    obstacle, recovery = stream("obstacle").random, stream("recovery").randint
+    obstacle, recovery = stream("obstacle").random, draws("recovery", (0, _RECOVERY_JITTER))
     for t in dates["obsDetect"]:
         if t > rearm and obstacle() < _OBSTACLE_PROB:
-            rearm = t + _SPORADIC_DWELL + 1 + recovery(0, _RECOVERY_JITTER)
+            rearm = t + _SPORADIC_DWELL + 1 + next(recovery)
             entries.append(t)
             recoveries.append(rearm)
     dates["obstc"] = dates["emgcy"] = dates["veBrake"] = entries
@@ -289,7 +337,7 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         if turn is not None:
             dates[_TURN_CLOCKS[turn][0]].extend(range(turn_start, min(end, turn_end, n)))
 
-    turn_duration = stream("turn-duration").randint
+    turn_duration = draws("turn-duration", _TURN_DURATION)
     for step, _, action in sorted(commands):
         if action == "entry":
             close(step)
@@ -300,10 +348,14 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
                 turn, turn_start, turn_end = resumed, step, end
                 dates[_TURN_CLOCKS[resumed][1]].append(step)
         else:  # maneuver command
-            duration = turn_duration(*_TURN_DURATION) if action != "dec" else 0
+            duration = next(turn_duration) if action != "dec" else 0
             if suspended is None:  # transitions are disabled during the dwell
                 close(step)
                 turn = action if action != "dec" else None
                 turn_start, turn_end = step, step + duration
     close(n)
-    return Trace.from_dates(ALPHABET, n, dates)
+    # Every list is strictly increasing from 0 on.  Each one that runs
+    # past n is cut once, so clocks that share a list share its cut.
+    cut = {id(steps): steps[:bisect_left(steps, n)] for steps in dates.values() if steps and steps[-1] >= n}
+    kept = {name: cut.get(id(steps), steps) for name, steps in dates.items()}
+    return Trace._from_sorted(ALPHABET, n, kept)

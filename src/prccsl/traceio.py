@@ -13,7 +13,6 @@ truncated or reordered files cheaply.
 
 from __future__ import annotations
 
-import csv
 import io
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -113,6 +112,8 @@ def read_trace(source: Source) -> Trace:
     the row position, a line the csv module cannot parse, or a file that
     is not UTF-8.  A UTF-8 byte order mark before the header is skipped.
     """
+    import csv  # here, not at the top: the write path never needs it
+
     with _opened(source, "r") as handle:
         first = io.StringIO(handle.readline(), newline="")  # a stream may end lines at "\n" only
         reader = csv.reader(chain(first, handle))
@@ -156,7 +157,7 @@ def read_trace(source: Source) -> Trace:
                     gaps = map(len, cells.split(b"1"))
                     dates.extend(map(add, accumulate(gaps), range(step, step + ones)))
             step += rows
-    return Trace.from_dates(clocks, step, dict(zip(clocks, columns)))
+    return Trace._from_sorted(clocks, step, dict(zip(clocks, columns)))
 
 
 def _read_header(reader: Any) -> list[str]:

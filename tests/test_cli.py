@@ -308,7 +308,7 @@ def test_importing_cli_loads_no_subcommand_module():
     [
         ("simulate", {"prccsl.simulator", "prccsl.traceio"},
          {"prccsl.speclang", "prccsl.exprs", "prccsl.relations", "prccsl.report",
-          "dataclasses", "json", "fractions"}),
+          "dataclasses", "json", "fractions", "csv"}),
         ("check", {"prccsl.speclang", "prccsl.traceio", "prccsl.relations"}, {"prccsl.simulator"}),
         ("verify-av", {"prccsl.speclang", "prccsl.simulator", "prccsl.relations"},
          {"prccsl.traceio", "csv"}),

@@ -1,4 +1,7 @@
+import random
 from bisect import bisect_left
+from itertools import islice
+from operator import lt
 
 import pytest
 
@@ -12,6 +15,8 @@ from prccsl import (
     simulate_faulty,
     trace_to_string,
 )
+from prccsl import simulator
+from prccsl.simulator import uniform, words
 
 N = 20000
 PARAMS = AVParams(steps=N, seed=7)
@@ -251,3 +256,67 @@ def test_controller_invariants_across_seeds():
                 dates = t.dates(clock)
                 run_starts = [d for i, d in enumerate(dates) if i == 0 or dates[i - 1] != d - 1]
                 assert set(run_starts) <= allowed, (case, clock)
+
+
+# every (lo, hi) the simulator draws from, plus the periodic-fault jitters
+WINDOWS = sorted({
+    simulator._EXEC_CAMERA,
+    simulator._EXEC_SIGNREC,
+    simulator._EXEC_CONTROLLER,
+    simulator._EXEC_VEHICLEDYN,
+    (0, simulator._INPUT_SYNC_WINDOW),
+    (0, simulator._OUTPUT_SYNC_WINDOW),
+    (0, simulator._SIGN_TYPE_COUNT - 1),
+    simulator._START_LATENCY,
+    simulator._BRAKE_TO_STOP,
+    simulator._TURN_DURATION,
+    (0, simulator._RECOVERY_JITTER),
+    *simulator._EXEC_FAULT_RANGES.values(),
+    *((1, jitter) for jitter in simulator._PERIODIC_FAULT_JITTER.values()),
+})
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(0, span - 1) for span in (1, 2, 6, 16, 17, 32, 41, 1201)] + WINDOWS
+)
+def test_uniform_equals_randint(lo, hi):
+    for seed in range(5):
+        rng = random.Random(seed)
+        expected = [rng.randint(lo, hi) for _ in range(5000)]
+        assert list(islice(uniform(words(random.Random(seed)), lo, hi), 5000)) == expected
+
+
+def test_sign_type_draw_equals_randrange():
+    rng = random.Random("3/sign-type")
+    expected = [rng.randrange(simulator._SIGN_TYPE_COUNT) for _ in range(5000)]
+    got = uniform(words(random.Random("3/sign-type")), 0, simulator._SIGN_TYPE_COUNT - 1)
+    assert list(islice(got, 5000)) == expected
+
+
+@pytest.mark.parametrize(
+    "first,second", [((100, 150), (151, 190)), ((20, 30), (31, 45)), ((0, 0), (400, 2000))]
+)
+def test_iterators_on_one_source_interleave_like_randint(first, second):
+    pattern = [i % 3 == 0 or i % 7 == 1 for i in range(3000)]  # True: draw from second
+    for seed in range(5):
+        rng = random.Random(f"{seed}/ctrl-exec")
+        expected = [rng.randint(*(second if pick else first)) for pick in pattern]
+        source = words(random.Random(f"{seed}/ctrl-exec"))
+        a, b = uniform(source, *first), uniform(source, *second)
+        assert [next(b if pick else a) for pick in pattern] == expected
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None] + [FaultSpec(target, rate) for target in sorted(FAULT_TARGETS) for rate in (0.2, 1.0)],
+    ids=str,
+)
+def test_every_clock_is_strictly_increasing_inside_the_run(fault):
+    for seed in range(5):
+        for steps in (0, 1, 57, 999):
+            params = AVParams(seed=seed, steps=steps)
+            t = simulate(params) if fault is None else simulate_faulty(params, fault)
+            for clock in ALPHABET:
+                d = t.dates(clock)
+                assert all(map(lt, d, d[1:])), (seed, steps, clock)
+                assert not d or (d[0] >= 0 and d[-1] < steps), (seed, steps, clock)
