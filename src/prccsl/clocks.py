@@ -44,6 +44,11 @@ def validate_clock_name(name: str) -> str:
     return name
 
 
+def is_run(dates: Sequence[int]) -> bool:
+    """Whether a strictly increasing date list is a nonempty run of consecutive steps."""
+    return bool(dates) and dates[-1] - dates[0] == len(dates) - 1
+
+
 class Trace:
     """A finite tick record for a fixed, ordered clock alphabet.
 

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import repeat
 from typing import Callable, Union
 
-from .clocks import Trace, validate_clock_name
+from .clocks import Trace, is_run, validate_clock_name
 from .errors import DeclarationError, ExpressionError
 
 __all__ = [
@@ -174,9 +174,7 @@ def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[int]]) -> l
             # the j-th base tick has history j: keep j = 0, p, 2p, ...
             dates = _eval(base, trace, cache)[::period]
         case DelayFor(base, delay, ref):
-            dates = _delay_for(
-                _eval(base, trace, cache), delay, _eval(ref, trace, cache), len(trace)
-            )
+            dates = _delay_for(_eval(base, trace, cache), delay, _eval(ref, trace, cache))
         case Inf(left, right):
             a, b = _eval(left, trace, cache), _eval(right, trace, cache)
             if len(a) < len(b):
@@ -195,15 +193,25 @@ def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[int]]) -> l
     return dates
 
 
-def _delay_for(base: list[int], delay: int, ref: list[int], n: int) -> list[int]:
+def _delay_for(base: list[int], delay: int, ref: list[int]) -> list[int]:
     """Map each base date to the ``delay``-th ref date strictly after it.
 
     Targets past the last ref date are dropped (pending at trace end),
-    and base dates whose targets coincide give one output tick.
+    and base dates whose targets coincide give one output tick.  When
+    ref is a run first..last (like ms), a base date d >= first is due
+    at d + delay and every date before first at first + delay - 1, so
+    the output is a shifted slice of base (a run if that slice is one).
     """
-    if len(ref) == n:
-        # ref ticks on every step (like ms): the target of b is b + delay
-        return [date + delay for date in base[: bisect_left(base, n - delay)]]
+    if is_run(ref):
+        first, last = ref[0], ref[-1]
+        start = bisect_left(base, first)
+        dates = [first + delay - 1] if start and delay <= len(ref) else []
+        kept = base[start:bisect_right(base, last - delay)]
+        if is_run(kept):
+            dates += range(kept[0] + delay, kept[-1] + delay + 1)
+        else:
+            dates += [date + delay for date in kept]
+        return dates
     # due[p] is the delay-th ref date after the first p ref dates
     due = ref[delay - 1:]
     # p for each base date: the ref dates at or before it (nondecreasing)

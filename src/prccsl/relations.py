@@ -10,22 +10,28 @@ or after left[j] or right has at most j dates.  So causes counts
 sum(right[j] >= left[j]) + max(0, len(left) - len(right)), and precedes
 the same with ">", since a right tick on the date counts against it.
 Subclock, coincides and excludes count the shared dates of the lists.
-The verdict is a fixed-sample hypothesis test: the relation holds at
-threshold p iff m/k >= p, compared in exact rational arithmetic.  A
-monitor with a sample size N keeps only the first N observations in
-step order, freezing its verdict once k reaches N.
+An operand that is a run a..b of consecutive dates (last date minus
+first equals length minus one) costs O(log n): the other list shares
+the dates between two of its bisects, and a right run a + j beats
+left[j] iff left[j] - j <= a, a key that never decreases in j, so the
+causes sum is one bisect over j (mirrored over right[j] - j when the
+run is on the left).  The verdict is a fixed-sample hypothesis test:
+the relation holds at threshold p iff m/k >= p, compared in exact
+rational arithmetic.  A monitor with a sample size N keeps only the
+first N observations in step order, freezing its verdict once k
+reaches N.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from operator import ge, gt
 from typing import Sequence, Union
 
-from .clocks import Trace
+from .clocks import Trace, is_run
 from .exprs import ClockExpr, clocks_of, eval_expr
 
 __all__ = [
@@ -149,12 +155,26 @@ def _count(
     # h2 <= j iff right has at most j dates or right[j] is at or after
     # left[j]; precedes needs it strictly after, since a right tick on
     # the date counts against it
-    beats = ge if kind is RelationKind.CAUSALITY else gt
-    return len(left), sum(map(beats, right, left)) + max(0, len(left) - len(right))
+    causes = kind is RelationKind.CAUSALITY
+    n = min(len(left), len(right))
+    if is_run(right):  # right[j] = a + j: left[j] - j <= a (< a)
+        beaten = (bisect_right if causes else bisect_left)(
+            range(n), right[0], key=lambda j: left[j] - j
+        )
+    elif is_run(left):  # left[j] = a + j: right[j] - j >= a (> a)
+        beaten = n - (bisect_left if causes else bisect_right)(
+            range(n), left[0], key=lambda j: right[j] - j
+        )
+    else:
+        beaten = sum(map(ge if causes else gt, right, left))
+    return len(left), beaten + max(0, len(left) - len(right))
 
 
 def _overlap(left: list[int], right: list[int]) -> int:
     """The number of dates in both lists, without building their intersection."""
+    for run, other in ((left, right), (right, left)):
+        if is_run(run):
+            return bisect_right(other, run[-1]) - bisect_left(other, run[0])
     few, many = sorted((left, right), key=len)
     rest = set(few)
     rest.difference_update(many)

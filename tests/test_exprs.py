@@ -75,6 +75,21 @@ def test_delay_for_pending_discarded_at_trace_end():
     assert eval_expr(DelayFor(Ref("b"), 5, Ref("ms")), t) == []
 
 
+def test_delay_for_on_a_ref_run_inside_the_trace():
+    # r ticks on steps 4..8 of 12: a base date d >= 4 is due at d + delay
+    r = list(range(4, 9))
+    t = build({"b": [0, 2, 5, 6, 7, 10], "r": r}, 12)
+    # 0 and 2 both fall due at 4 + 2 - 1 = 5; 7 -> 9 and 10 pass the last r tick
+    assert eval_expr(DelayFor(Ref("b"), 2, Ref("r")), t) == [5, 7, 8]
+    # a date before the run needs delay <= len(r) ref ticks
+    t1 = build({"b": [1], "r": r}, 12)
+    assert eval_expr(DelayFor(Ref("b"), 5, Ref("r")), t1) == [8]
+    assert eval_expr(DelayFor(Ref("b"), 6, Ref("r")), t1) == []
+    # base dates 4..6 map to the run 5..7, after the tick at 4 for 1 and 2
+    run = build({"b": [1, 2, 4, 5, 6], "r": r}, 12)
+    assert eval_expr(DelayFor(Ref("b"), 1, Ref("r")), run) == [4, 5, 6, 7]
+
+
 def test_delay_for_output_is_subclock_of_ref():
     rng = random.Random(7)
     for _ in range(50):

@@ -31,10 +31,17 @@ CLOCKS = ("a", "b", "c")
 @st.composite
 def traces(draw, max_len=64):
     n = draw(st.integers(min_value=1, max_value=max_len))
-    columns = {
-        name: sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
-        for name in CLOCKS
-    }
+    steps = st.integers(min_value=0, max_value=n)
+    columns = {}
+    for name in CLOCKS:
+        # scattered ticks, a run of consecutive steps at any offset and of
+        # any length (empty and single dates too), or the two mixed
+        shape = draw(st.sampled_from(("ticks", "run", "mixed")))
+        ticks = set() if shape == "run" else draw(st.sets(st.integers(0, n - 1)))
+        if shape != "ticks":
+            start, stop = sorted((draw(steps), draw(steps)))
+            ticks.update(range(start, stop))
+        columns[name] = sorted(ticks)
     # sometimes one clock ticks on every step, like ms
     full = draw(st.sampled_from((None, *CLOCKS)))
     if full is not None:

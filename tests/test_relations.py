@@ -180,6 +180,41 @@ def test_set_relations_by_operand_lengths():
         assert [(r.k, r.m) for r in results] == expected, (a, b)
 
 
+@pytest.mark.parametrize(
+    "a,b,uncapped,first",
+    [
+        # (k, m) in RelationKind order: subclock, coincides, excludes,
+        # causes, precedes; uncapped and with a cap of 1
+        # run on the right, b = 2..6: causes beats left at 1, 3, 4 but
+        # not at 8 (h2 = 5 > 3); precedes only at 1, since b ticks on 3, 4
+        ([1, 3, 4, 8], [2, 3, 4, 5, 6],
+         [(4, 2), (7, 2), (7, 5), (4, 3), (4, 1)], [(1, 0), (1, 0), (1, 1), (1, 1), (1, 1)]),
+        # run on the left, a = 2..5: b at 0 is ahead of a at 2; at 3
+        # h1 = h2 = 1 with b ticking; at 5 b has run out of dates
+        ([2, 3, 4, 5], [0, 3, 7],
+         [(4, 1), (6, 1), (6, 5), (4, 3), (4, 2)], [(1, 0), (1, 0), (1, 1), (1, 0), (1, 0)]),
+        # runs on both sides from the same step: h1 = h2 with b ticking
+        # at 2, 3, 4, then b has run out of dates at 5 and 6
+        ([2, 3, 4, 5, 6], [2, 3, 4],
+         [(5, 3), (5, 3), (5, 2), (5, 5), (5, 2)], [(1, 1), (1, 1), (1, 0), (1, 1), (1, 0)]),
+        # a single date is a run on both sides
+        ([5], [5],
+         [(1, 1), (1, 1), (1, 0), (1, 1), (1, 0)], [(1, 1), (1, 1), (1, 0), (1, 1), (1, 0)]),
+        # an empty operand on either side of a run, and on both sides
+        ([], [4, 5, 6],
+         [(0, 0), (3, 0), (3, 3), (0, 0), (0, 0)], [(0, 0), (1, 0), (1, 1), (0, 0), (0, 0)]),
+        ([4, 5, 6], [],
+         [(3, 0), (3, 0), (3, 3), (3, 3), (3, 3)], [(1, 0), (1, 0), (1, 1), (1, 1), (1, 1)]),
+        ([], [], [(0, 0)] * 5, [(0, 0)] * 5),
+    ],
+)
+def test_runs_of_consecutive_dates_on_either_side(a, b, uncapped, first):
+    t = Trace.from_dates(["a", "b"], 10, {"a": a, "b": b})
+    for cap, expected in ((None, uncapped), (1, first), (20, uncapped)):
+        results = check_relations([spec(kind, sample_size=cap) for kind in RelationKind], t)
+        assert [(r.k, r.m) for r in results] == expected, cap
+
+
 def test_missing_clock_becomes_relation_error():
     t = Trace.from_dates(["a"], 1, {"a": [0]})
     (r,) = check_relations([spec(RelationKind.SUBCLOCK, right="nope")], t)
