@@ -24,15 +24,37 @@ def build(columns: dict[str, list[int]], n: int) -> Trace:
     return Trace.from_dates(list(columns), n, columns)
 
 
-def test_ast_validation():
-    with pytest.raises(ExpressionError):
-        PeriodicOn(Ref("a"), 0)
-    with pytest.raises(ExpressionError):
-        DelayFor(Ref("a"), 0, Ref("ms"))
-    with pytest.raises(ExpressionError):
-        Ref("not a name")
-    with pytest.raises(ExpressionError):
-        Inf(Ref("a"), "b")
+_TRACE = build({"a": [0]}, 2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PeriodicOn(Ref("a"), 0), "period must be a positive integer, got 0"),
+        (lambda: PeriodicOn(Ref("a"), 2.0), "period must be a positive integer, got 2.0"),
+        (lambda: PeriodicOn("a", 0), "base operand is not a clock expression: 'a'"),
+        (lambda: DelayFor(Ref("a"), 0, Ref("ms")), "delay must be a positive integer, got 0"),
+        # operands are checked before the integers
+        (lambda: DelayFor(Ref("a"), 0, "ms"), "ref operand is not a clock expression: 'ms'"),
+        (lambda: DelayFor("a", 1, "ms"), "base operand is not a clock expression: 'a'"),
+        (lambda: Ref("not a name"), "invalid clock name 'not a name'"),
+        (lambda: Ref(5), "invalid clock name 5"),
+        (lambda: Ref(""), "invalid clock name ''"),
+        (lambda: Inf(Ref("a"), "b"), "right operand is not a clock expression: 'b'"),
+        (lambda: Sup("a", "b"), "left operand is not a clock expression: 'a'"),
+        (lambda: clocks_of("x"), "not a clock expression: 'x'"),
+        (lambda: eval_expr("x", _TRACE), "not a clock expression: 'x'"),
+    ],
+    ids=[
+        "period-0", "period-float", "periodic-base", "delay-0", "delay-ref-first", "delay-base",
+        "ref-space", "ref-int", "ref-empty", "inf-right", "sup-left", "clocks_of", "eval_expr",
+    ],
+)
+def test_invalid_node_error_type_and_message(make, message):
+    with pytest.raises(ExpressionError) as err:
+        make()
+    assert type(err.value) is ExpressionError
+    assert str(err.value) == message
 
 
 def test_clocks_of_collects_all_leaves():
