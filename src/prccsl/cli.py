@@ -201,8 +201,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PrccslError, OSError, ValueError) as exc:
-        print(f"prccsl: error: {exc}", file=sys.stderr)
+    except (PrccslError, OSError, ValueError, OverflowError, MemoryError) as exc:
+        # too many steps raise either of the last two; a MemoryError has no text
+        print(f"prccsl: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

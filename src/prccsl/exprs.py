@@ -2,12 +2,15 @@
 
 Expressions derive new clocks from existing ones:
 
-* ``Ref(c)``                ticks exactly when clock c ticks
-* ``PeriodicOn(base, p)``   every p-th tick of base, starting at the first
-* ``DelayFor(base, d, ref)``each base tick is re-emitted at the d-th ref
-                            tick strictly after it
-* ``Inf(a, b)``             the slowest clock faster than both operands
-* ``Sup(a, b)``             the fastest clock slower than both operands
+* ``Ref(c)``                 ticks exactly when clock c ticks
+* ``PeriodicOn(base, p)``    every p-th tick of base, starting at the first
+* ``DelayFor(base, d, ref)`` each base tick is re-emitted at the d-th ref
+                             tick strictly after it
+* ``Inf(a, b)``              the slowest clock faster than both operands
+* ``Sup(a, b)``              the fastest clock slower than both operands
+
+Each kind is a frozen dataclass that only declares its fields; their
+base class checks, hashes, compares and pickles the nodes.
 
 A derived clock is computed as its date list, the sorted steps at which
 it ticks, from the date lists of its operands; no step is visited on
@@ -20,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from typing import Callable, Union
+from typing import Union
 
 from .clocks import Trace, is_run, validate_clock_name
 from .errors import DeclarationError, ExpressionError
@@ -36,89 +39,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ref:
+class _Node:
+    """The shared part of the node kinds, which only declare their fields.
+
+    A field's annotation gives its role: an operand, a positive count or
+    a clock name.  A node keeps its hash, computed from its operands'
+    kept hashes, and equality compares operand tuples, which skip
+    operands that are the same object: definitions that reuse one
+    another make a DAG whose tree form is exponentially large.  A kept
+    hash holds only in its own process (str hashes are salted), so a
+    node pickles as its constructor call.
+    """
+
+    def __post_init__(self) -> None:
+        kind, values = self.__reduce__()
+        fields = zip(self.__match_args__, kind.__annotations__.values(), values)
+        # operands first: DelayFor(Ref("a"), 0, "ms") names its ref, not its delay
+        for name, role, value in sorted(fields, key=lambda field: field[1] != "ClockExpr"):
+            if role == "ClockExpr" and not isinstance(value, _Node):
+                raise ExpressionError(f"{name} operand is not a clock expression: {value!r}")
+            if role == "int" and (not isinstance(value, int) or value < 1):
+                raise ExpressionError(f"{name} must be a positive integer, got {value!r}")
+            if role == "str":
+                try:
+                    validate_clock_name(value)
+                except DeclarationError as exc:
+                    raise ExpressionError(str(exc)) from None
+        object.__setattr__(self, "_hash", hash((kind, values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self.__reduce__() == other.__reduce__()
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+
+@dataclass(frozen=True, eq=False)
+class Ref(_Node):
     clock: str
 
-    def __post_init__(self) -> None:
-        try:
-            validate_clock_name(self.clock)
-        except DeclarationError as exc:
-            raise ExpressionError(str(exc)) from None
 
-
-@dataclass(frozen=True)
-class PeriodicOn:
-    base: "ClockExpr"
+@dataclass(frozen=True, eq=False)
+class PeriodicOn(_Node):
+    base: ClockExpr
     period: int
 
-    def __post_init__(self) -> None:
-        _check_operand(self.base, "base")
-        if not isinstance(self.period, int) or self.period < 1:
-            raise ExpressionError(f"period must be a positive integer, got {self.period!r}")
 
-
-@dataclass(frozen=True)
-class DelayFor:
-    base: "ClockExpr"
+@dataclass(frozen=True, eq=False)
+class DelayFor(_Node):
+    base: ClockExpr
     delay: int
-    ref: "ClockExpr"
-
-    def __post_init__(self) -> None:
-        _check_operand(self.base, "base")
-        _check_operand(self.ref, "ref")
-        if not isinstance(self.delay, int) or self.delay < 1:
-            raise ExpressionError(f"delay must be a positive integer, got {self.delay!r}")
+    ref: ClockExpr
 
 
-@dataclass(frozen=True)
-class Inf:
-    left: "ClockExpr"
-    right: "ClockExpr"
-
-    def __post_init__(self) -> None:
-        _check_operand(self.left, "left")
-        _check_operand(self.right, "right")
+@dataclass(frozen=True, eq=False)
+class Inf(_Node):
+    left: ClockExpr
+    right: ClockExpr
 
 
-@dataclass(frozen=True)
-class Sup:
-    left: "ClockExpr"
-    right: "ClockExpr"
-
-    def __post_init__(self) -> None:
-        _check_operand(self.left, "left")
-        _check_operand(self.right, "right")
+@dataclass(frozen=True, eq=False)
+class Sup(_Node):
+    left: ClockExpr
+    right: ClockExpr
 
 
 ClockExpr = Union[Ref, PeriodicOn, DelayFor, Inf, Sup]
-
-
-def _hash_once(field_hash: Callable[[ClockExpr], int]) -> Callable[[ClockExpr], int]:
-    def __hash__(self: ClockExpr) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = field_hash(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    return __hash__
-
-
-# Definitions that reuse one another make an expression a DAG whose tree
-# form is exponentially large.  The dataclass hash walks that tree on
-# every call, so each node keeps its hash after the first, computed from
-# its operands' kept hashes.  A kept hash holds only in its own process
-# (str hashes are salted), so a node pickles as its constructor call.
-for _node in (Ref, PeriodicOn, DelayFor, Inf, Sup):
-    _node.__hash__ = _hash_once(_node.__hash__)  # type: ignore[method-assign]
-    _node.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, self.__match_args__)))
-
-
-def _check_operand(value: object, role: str) -> None:
-    if not isinstance(value, (Ref, PeriodicOn, DelayFor, Inf, Sup)):
-        raise ExpressionError(f"{role} operand is not a clock expression: {value!r}")
 
 
 def clocks_of(expr: ClockExpr) -> frozenset[str]:
@@ -130,16 +121,12 @@ def clocks_of(expr: ClockExpr) -> frozenset[str]:
 
     @cache
     def names(node: ClockExpr) -> frozenset[str]:
-        match node:
-            case Ref(clock):
-                return frozenset((clock,))
-            case PeriodicOn(base, _):
-                return names(base)
-            case DelayFor(base, _, ref):
-                return names(base) | names(ref)
-            case Inf(left, right) | Sup(left, right):
-                return names(left) | names(right)
-        raise ExpressionError(f"not a clock expression: {node!r}")
+        if isinstance(node, Ref):
+            return frozenset((node.clock,))
+        if not isinstance(node, _Node):
+            raise ExpressionError(f"not a clock expression: {node!r}")
+        _, values = node.__reduce__()
+        return frozenset().union(*(names(value) for value in values if isinstance(value, _Node)))
 
     return names(expr)
 

@@ -444,20 +444,12 @@ def elaborate(spec: SpecFile) -> tuple[tuple[str, ...], list[RelationSpec]]:
     interned: dict[ClockExpr, ClockExpr] = {}
 
     def inline(expr: ClockExpr) -> ClockExpr:
-        if isinstance(expr, Ref):
-            if expr.clock in defs:
-                if expr.clock not in memo:
-                    memo[expr.clock] = inline(defs[expr.clock])
-                return memo[expr.clock]
-            node = expr
-        elif isinstance(expr, PeriodicOn):
-            node = PeriodicOn(inline(expr.base), expr.period)
-        elif isinstance(expr, DelayFor):
-            node = DelayFor(inline(expr.base), expr.delay, inline(expr.ref))
-        elif isinstance(expr, Inf):
-            node = Inf(inline(expr.left), inline(expr.right))
-        else:
-            node = Sup(inline(expr.left), inline(expr.right))
+        kind, values = expr.__reduce__()
+        if kind is Ref and expr.clock in defs:
+            if expr.clock not in memo:
+                memo[expr.clock] = inline(defs[expr.clock])
+            return memo[expr.clock]
+        node = kind(*(inline(value) if isinstance(value, ClockExpr) else value for value in values))
         return interned.setdefault(node, node)
 
     alphabet = (UNIVERSAL_CLOCK, *spec.clocks)

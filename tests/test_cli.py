@@ -271,6 +271,25 @@ def test_bad_parameter_values_exit_two(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify-av"])
+def test_oversized_steps_exit_two_without_traceback(tmp_path, capsys, command):
+    out = tmp_path / "t.csv"
+    argv = [command, "--steps", str(10**20)] + (["--out", str(out)] if command == "simulate" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("prccsl: error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_two_with_a_message(tmp_path, capsys, monkeypatch):
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr("prccsl.simulator.simulate", exhausted)
+    assert main(["simulate", "--steps", "10", "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "prccsl: error: MemoryError\n"
+
+
 def test_check_rejects_samples_below_one_without_relations(tmp_path, capsys):
     spec = write(tmp_path / "s.prccsl", "clock a\n")
     trace = passing_trace(tmp_path / "t.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -171,6 +172,38 @@ def test_eval_expr_shared_cache_reused():
     first = eval_expr(Inf(Ref("a"), Ref("b")), t, cache)
     again = eval_expr(Inf(Ref("a"), Ref("b")), t, cache)
     assert first is again
+
+
+def test_inf_and_sup_of_the_same_operands_stay_apart():
+    a, b = Ref("a"), Ref("b")
+    assert Inf(a, b) != Sup(a, b)
+    assert len({Inf(a, b), Sup(a, b)}) == 2
+    t = build({"a": [0, 3], "b": [1, 5]}, 6)
+    cache: dict = {}
+    assert eval_expr(Inf(a, b), t, cache) == [0, 3]
+    assert eval_expr(Sup(a, b), t, cache) == [1, 5]
+    assert eval_expr(Inf(a, b), t, cache) == [0, 3]
+
+
+@pytest.mark.parametrize(
+    "node, fields",
+    [
+        (Ref("a"), ("clock",)),
+        (PeriodicOn(Ref("a"), 2), ("base", "period")),
+        (DelayFor(Ref("a"), 1, Ref("ms")), ("base", "delay", "ref")),
+        (Inf(Ref("a"), Ref("b")), ("left", "right")),
+        (Sup(Ref("a"), Ref("b")), ("left", "right")),
+    ],
+    ids=["Ref", "PeriodicOn", "DelayFor", "Inf", "Sup"],
+)
+def test_nodes_are_frozen_dataclasses(node, fields):
+    assert dataclasses.is_dataclass(node)
+    assert tuple(field.name for field in dataclasses.fields(node)) == fields
+    assert type(node).__match_args__ == fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, fields[0], Ref("c"))
+    assert dataclasses.replace(node) == node
+    assert eval(repr(node)) == node
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

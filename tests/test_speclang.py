@@ -331,6 +331,20 @@ def test_shared_definition_chain_is_checked():
     assert clocks_of(relations[0].left) == {"a"}
 
 
+def test_inf_and_sup_definitions_elaborate_to_distinct_operands():
+    spec = parse(
+        "clock a\nclock b\ndef i = inf(a, b)\ndef s = sup(a, b)\n"
+        "rel ri: i subclockof a prob >= 0\nrel rs: s subclockof a prob >= 0\n"
+    )
+    _, (ri, rs) = elaborate(spec)
+    assert (ri.left, rs.left) == (Inf(Ref("a"), Ref("b")), Sup(Ref("a"), Ref("b")))
+    assert ri.left != rs.left
+    # inf ticks at 0 and 3, both on a; sup ticks at 1 and 5, neither on a
+    trace = Trace.from_dates(("ms", "a", "b"), 6, {"a": [0, 3], "b": [1, 5]})
+    verdicts = check_relations([ri, rs], trace)
+    assert [(v.k, v.m) for v in verdicts] == [(2, 2), (2, 0)]
+
+
 def test_only_elaborated_relations_are_monitorable():
     spec = parse("clock a\ndef half = periodicon a period 2\nrel r: half subclockof a prob >= 1\n")
     trace = Trace.from_dates(("ms", "a"), 10, {"a": [0, 3, 5, 8]})
