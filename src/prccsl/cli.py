@@ -110,6 +110,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .errors import SpecSyntaxError, bad_utf8_position
+    from .exprs import clocks_of
     from .relations import check_relations
     from .report import build_report
     from .speclang import elaborate, parse
@@ -127,7 +128,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.samples is not None:
         spec = replace(spec, samples=args.samples)
     _, relations = elaborate(spec)
-    trace = read_trace(args.trace)
+    # every cell is still validated; only the clocks the relations name get date lists
+    named = set().union(*(clocks_of(rel.left) | clocks_of(rel.right) for rel in relations))
+    trace = read_trace(args.trace, clocks=named)
     report = build_report(
         spec=args.spec,
         trace={"path": args.trace, "steps": len(trace)},

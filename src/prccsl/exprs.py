@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from operator import le
 from typing import Union
 
 from .clocks import Trace, is_run, validate_clock_name
@@ -58,7 +59,8 @@ class _Node:
         for name, role, value in sorted(fields, key=lambda field: field[1] != "ClockExpr"):
             if role == "ClockExpr" and not isinstance(value, _Node):
                 raise ExpressionError(f"{name} operand is not a clock expression: {value!r}")
-            if role == "int" and (not isinstance(value, int) or value < 1):
+            # a bool is an int, but True would render as "period True"
+            if role == "int" and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
                 raise ExpressionError(f"{name} must be a positive integer, got {value!r}")
             if role == "str":
                 try:
@@ -167,13 +169,25 @@ def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[int]]) -> l
             if len(a) < len(b):
                 a, b = b, a
             # the j-th tick comes with whichever operand reaches it first;
-            # past the end of the shorter operand the longer one ticks alone
-            # (the comprehensions here run about 3x faster than map(min, ...))
-            dates = [x if x < y else y for x, y in zip(a, b)] + a[len(b):]
+            # past the end of the shorter operand the longer one ticks alone.
+            # An operand first at every tick is kept, which a C-level all()
+            # finds without building a list; else merge (the comprehensions
+            # here run about 3x faster than map(min, ...))
+            if all(map(le, a, b)):
+                dates = a
+            elif all(map(le, b, a)):
+                dates = b + a[len(b):]
+            else:
+                dates = [x if x < y else y for x, y in zip(a, b)] + a[len(b):]
         case Sup(left, right):
             # the j-th tick waits for the operand that reaches it last
             a, b = _eval(left, trace, cache), _eval(right, trace, cache)
-            dates = [x if x > y else y for x, y in zip(a, b)]
+            if all(map(le, a, b)):
+                dates = b[:len(a)]
+            elif all(map(le, b, a)):
+                dates = a[:len(b)]
+            else:
+                dates = [x if x > y else y for x, y in zip(a, b)]
         case _:
             raise ExpressionError(f"not a clock expression: {expr!r}")
     cache[expr] = dates
@@ -187,15 +201,17 @@ def _delay_for(base: list[int], delay: int, ref: list[int]) -> list[int]:
     and base dates whose targets coincide give one output tick.  When
     ref is a run first..last (like ms), a base date d >= first is due
     at d + delay and every date before first at first + delay - 1, so
-    the output is a shifted slice of base (a run if that slice is one).
+    the output is a shifted slice of base.  When that slice is a run,
+    its targets are a slice of ref, so the output holds ref's own int
+    objects and makes no new ones.
     """
     if is_run(ref):
         first, last = ref[0], ref[-1]
         start = bisect_left(base, first)
-        dates = [first + delay - 1] if start and delay <= len(ref) else []
+        dates = ref[delay - 1:delay] if start else []  # first + delay - 1, if ref has delay dates
         kept = base[start:bisect_right(base, last - delay)]
         if is_run(kept):
-            dates += range(kept[0] + delay, kept[-1] + delay + 1)
+            dates += ref[kept[0] + delay - first:kept[-1] + delay - first + 1]
         else:
             dates += [date + delay for date in kept]
         return dates

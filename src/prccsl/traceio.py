@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from itertools import accumulate, chain, compress
 from operator import add
 from os import PathLike
-from typing import IO, Any, Iterator, Union
+from typing import IO, Any, Iterable, Iterator, Union
 
 from .clocks import Trace
 from .errors import DeclarationError, TraceFormatError, bad_utf8_position
@@ -95,17 +95,28 @@ def _digit_column(start: int, stop: int, unit: int) -> bytes:
     )
 
 
-def read_trace(source: Source) -> Trace:
+def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
     """Parse a trace CSV, validating its structure.
 
     A path and a text stream are read alike: every line, the header's
     too, ends at "\n", "\r" or "\r\n", whatever the stream's own line
-    splitting.  The body is read in the segments ``write_trace`` writes.
-    A segment is canonical when it is ASCII, has its ``_blank``'s step
-    digits and equals the blank once "1" reads "0"; each column's ticks
-    then come from its strided slice.  From the first segment that is
-    not, every line goes through ``csv.reader``, which handles quoting
-    and CRLF line ends and raises every format error.
+    splitting.  The body is read in the segments ``write_trace`` writes,
+    as bytes: from a path's binary buffer, or ASCII-encoded from a text
+    stream.  A segment is canonical when it is ASCII, has its
+    ``_blank``'s step digits and equals the blank once "1" reads "0";
+    each column's ticks then come from its strided slice, and columns
+    ticking on more than one row in 16 take their dates from one list of
+    the segment's steps, so they share its int objects.  From the first
+    segment that is not canonical, every line goes through
+    ``csv.reader`` (a path is read on as text from that segment's first
+    byte), which handles quoting and CRLF line ends and raises every
+    format error.
+
+    ``clocks`` names the clocks to keep, by default all of them.  Every
+    cell of every column is validated either way, but only the kept
+    clocks get date lists: the trace holds the header's clocks that
+    ``clocks`` names, in header order, and names the header lacks are
+    ignored.
 
     Raises TraceFormatError (with the 1-based line number) on a malformed
     header, a non-0/1 cell, a ragged row, a step index that does not match
@@ -115,49 +126,67 @@ def read_trace(source: Source) -> Trace:
     import csv  # here, not at the top: the write path never needs it
 
     with _opened(source, "r") as handle:
-        first = io.StringIO(handle.readline(), newline="")  # a stream may end lines at "\n" only
+        line = handle.readline()
+        first = io.StringIO(line, newline="")  # a stream may end lines at "\n" only
         reader = csv.reader(chain(first, handle))
         try:
-            clocks = _read_header(reader)
+            header = _read_header(reader)
         except csv.Error as exc:
             raise TraceFormatError(str(exc), reader.line_num) from None
         header_lines = reader.line_num
+        read = None  # a path's body bytes come from its buffer, not through the text layer
         if rest := first.read():  # the body began inside the stream's first line
             handle = io.StringIO(rest + handle.read(), newline="")
-        columns: list[list[int]] = [[] for _ in clocks]
+        elif isinstance(source, (str, PathLike)) and handle.seekable():
+            handle.buffer.seek(len(line.encode("utf-8")))  # the body's first byte
+            read = handle.buffer.read
+        wanted = set(header if clocks is None else clocks)
+        dates: dict[str, list[int]] = {name: [] for name in header if name in wanted}
+        columns = [(index, dates[name]) for index, name in enumerate(header) if name in dates]
         step = 0
         while True:
             digits = len(str(step))
-            width = digits + 2 * len(clocks) + 1
-            text = handle.read((min(step + _BLOCK_ROWS, 10**digits) - step) * width)
-            if not text:
+            width = digits + 2 * len(header) + 1
+            size = (min(step + _BLOCK_ROWS, 10**digits) - step) * width
+            if read is None:
+                text = handle.read(size)
+                seg = text.encode("ascii", "replace")  # other text is not canonical
+            else:
+                seg = read(size)
+            if not seg:
                 break
-            seg = text.encode("ascii", "replace")  # other text is not canonical
             rows = len(seg) // width
-            blank = _blank(step, step + rows, len(clocks))
+            blank = _blank(step, step + rows, len(header))
             if (  # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
                 any(seg[pos::width] != blank[pos::width] for pos in range(digits))
                 or seg.replace(b"1", b"0") != blank.replace(b"1", b"0")
             ):
+                if read is not None:  # go on as text from the segment's first byte:
+                    # a segment starts a line, where the decoder holds no state,
+                    # so the byte offset is the text handle's own seek cookie
+                    handle.seek(handle.buffer.tell() - len(seg))
+                    text = handle.read(size)
                 offset = header_lines + step
                 chunks = chain([text], iter(lambda: handle.read(len(text)), ""))
                 lines = (io.StringIO(chunk + handle.readline(), newline="") for chunk in chunks)
                 reader = csv.reader(chain.from_iterable(lines))
                 try:
-                    step = _read_rows(reader, step, offset, columns)
+                    step = _read_rows(reader, step, offset, len(header), columns)
                 except csv.Error as exc:
                     raise TraceFormatError(str(exc), offset + reader.line_num) from None
                 break
-            for dates, offset in zip(columns, range(digits + 1, width, 2)):
-                cells = seg[offset::width]
+            steps: list[int] = []  # the segment's steps, made once for the dense columns
+            for index, ticks in columns:
+                cells = seg[digits + 1 + 2 * index::width]
                 ones = cells.count(b"1")
                 if 16 * ones > rows:
-                    dates.extend(compress(range(step, step + rows), cells.translate(_CELL_BITS)))
+                    steps = steps or list(range(step, step + rows))
+                    ticks.extend(steps if ones == rows else compress(steps, cells.translate(_CELL_BITS)))
                 else:  # the i-th "1" follows i earlier ones and the gaps before it
                     gaps = map(len, cells.split(b"1"))
-                    dates.extend(map(add, accumulate(gaps), range(step, step + ones)))
+                    ticks.extend(map(add, accumulate(gaps), range(step, step + ones)))
             step += rows
-    return Trace._from_sorted(clocks, step, dict(zip(clocks, columns)))
+    return Trace._from_sorted(list(dates), step, dates)
 
 
 def _read_header(reader: Any) -> list[str]:
@@ -175,28 +204,32 @@ def _read_header(reader: Any) -> list[str]:
     return clocks
 
 
-def _read_rows(reader: Any, step: int, lines_before: int, columns: list[list[int]]) -> int:
-    """Add the ticks of the rows ``reader`` yields from ``step`` on.
+def _read_rows(
+    reader: Any, step: int, lines_before: int, clocks: int, columns: list[tuple[int, list[int]]]
+) -> int:
+    """Validate the rows ``reader`` yields from ``step`` on and add their ticks.
 
-    Returns the step count at the end.  ``lines_before`` is the number
-    of file lines before the reader's first, for error line numbers.
+    Each row has ``clocks`` cells; ``columns`` pairs the index of each
+    kept cell with its date list.  Returns the step count at the end.
+    ``lines_before`` is the number of file lines before the reader's
+    first, for error line numbers.
     """
-    width = len(columns) + 1
     for row in reader:
         line = lines_before + reader.line_num
-        if len(row) != width:
+        if len(row) != clocks + 1:
             raise TraceFormatError(
-                f"row has {len(row)} fields, expected {width}", line
+                f"row has {len(row)} fields, expected {clocks + 1}", line
             )
         if row[0] != str(step):
             raise TraceFormatError(
                 f"non-consecutive step index {row[0]!r}, expected {step}", line
             )
-        for dates, cell in zip(columns, row[1:]):
-            if cell == "1":
+        cells = row[1:]
+        if cells.count("0") + cells.count("1") != clocks:
+            raise TraceFormatError("cell must be 0 or 1", line)
+        for index, dates in columns:
+            if cells[index] == "1":
                 dates.append(step)
-            elif cell != "0":
-                raise TraceFormatError("cell must be 0 or 1", line)
         step += 1
     return step
 

@@ -33,8 +33,12 @@ _TRACE = build({"a": [0]}, 2)
     [
         (lambda: PeriodicOn(Ref("a"), 0), "period must be a positive integer, got 0"),
         (lambda: PeriodicOn(Ref("a"), 2.0), "period must be a positive integer, got 2.0"),
+        # a bool is an int, but "period True" would not parse back
+        (lambda: PeriodicOn(Ref("a"), True), "period must be a positive integer, got True"),
+        (lambda: PeriodicOn(Ref("a"), False), "period must be a positive integer, got False"),
         (lambda: PeriodicOn("a", 0), "base operand is not a clock expression: 'a'"),
         (lambda: DelayFor(Ref("a"), 0, Ref("ms")), "delay must be a positive integer, got 0"),
+        (lambda: DelayFor(Ref("a"), True, Ref("ms")), "delay must be a positive integer, got True"),
         # operands are checked before the integers
         (lambda: DelayFor(Ref("a"), 0, "ms"), "ref operand is not a clock expression: 'ms'"),
         (lambda: DelayFor("a", 1, "ms"), "base operand is not a clock expression: 'a'"),
@@ -47,7 +51,8 @@ _TRACE = build({"a": [0]}, 2)
         (lambda: eval_expr("x", _TRACE), "not a clock expression: 'x'"),
     ],
     ids=[
-        "period-0", "period-float", "periodic-base", "delay-0", "delay-ref-first", "delay-base",
+        "period-0", "period-float", "period-true", "period-false", "periodic-base", "delay-0",
+        "delay-true", "delay-ref-first", "delay-base",
         "ref-space", "ref-int", "ref-empty", "inf-right", "sup-left", "clocks_of", "eval_expr",
     ],
 )

@@ -8,6 +8,7 @@ random inputs is strong evidence for both.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,10 +36,16 @@ def traces(draw, max_len=64):
     columns = {}
     for name in CLOCKS:
         # scattered ticks, a run of consecutive steps at any offset and of
-        # any length (empty and single dates too), or the two mixed
-        shape = draw(st.sampled_from(("ticks", "run", "mixed")))
-        ticks = set() if shape == "run" else draw(st.sets(st.integers(0, n - 1)))
-        if shape != "ticks":
+        # any length (empty and single dates too), the two mixed, or every
+        # k-th step from some offset on, like a periodicon of ms
+        shape = draw(st.sampled_from(("ticks", "run", "mixed", "strided")))
+        if shape == "strided":
+            ticks = set(range(draw(steps), n, draw(st.integers(2, 5))))
+        elif shape == "run":
+            ticks = set()
+        else:
+            ticks = draw(st.sets(st.integers(0, n - 1)))
+        if shape in ("run", "mixed"):
             start, stop = sorted((draw(steps), draw(steps)))
             ticks.update(range(start, stop))
         columns[name] = sorted(ticks)
@@ -110,3 +117,48 @@ def test_periodic_is_subclock_and_delay_is_subclock_of_ref(tn):
     assert set(periodic) <= set(trace.dates("a"))
     delayed = eval_expr(DelayFor(Ref("a"), 2, Ref("b")), trace)
     assert set(delayed) <= set(trace.dates("b"))
+
+
+# Inf and Sup keep an operand that leads (or trails) at every tick as it
+# is; these pairs reach every such branch and the merge between them.
+DOMINANCE_N = 60
+DOMINANCE_PAIRS = {
+    "equal": ([1, 4, 6], [1, 4, 6]),
+    "prefix": ([0, 2, 5, 7, 9], [0, 2, 5]),
+    "p2-p3": (list(range(0, 60, 2)), list(range(0, 60, 3))),
+    "p3-p2": (list(range(0, 60, 3)), list(range(0, 60, 2))),
+    "shorter-leads": (list(range(0, 15, 3)), list(range(5, 60, 2))),
+    "longer-trails": (list(range(5, 60, 2)), list(range(0, 15, 3))),
+    "empty": ([], [1, 2, 40]),
+    "both-empty": ([], []),
+    "crossing": ([0, 10, 11, 12], [5, 6, 30]),
+}
+
+
+@pytest.mark.parametrize("node", [Inf, Sup])
+@pytest.mark.parametrize("pair", list(DOMINANCE_PAIRS))
+def test_inf_sup_of_dominating_operands_match_oracle(pair, node):
+    a, b = DOMINANCE_PAIRS[pair]
+    trace = Trace.from_dates(("a", "b"), DOMINANCE_N, {"a": a, "b": b})
+    for expr in (node(Ref("a"), Ref("b")), node(Ref("b"), Ref("a"))):
+        assert eval_expr(expr, trace) == oracle_expr(expr, {"a": a, "b": b}, DOMINANCE_N)
+
+
+@pytest.mark.parametrize("delay", [1, 3, 16, 17])
+@pytest.mark.parametrize(
+    "base",
+    [(1002, 1010), (1004, 1010), (1008, 1030), (1000, 1003), (1025, 1028)],
+    ids=["collapse-then-run", "inside", "past-the-end", "before-only", "after-only"],
+)
+def test_delay_for_on_run_ref_and_run_base_matches_oracle(base, delay):
+    # ref ticks on steps 1004..1019; base dates before 1004 collapse onto
+    # one tick, and dates above 256 are not cached ints, so `is` tells
+    # whether the output holds ref's own int objects
+    n = 1030
+    dates = {"base": list(range(*base)), "ref": list(range(1004, 1020))}
+    trace = Trace.from_dates(("base", "ref"), n, dates)
+    expr = DelayFor(Ref("base"), delay, Ref("ref"))
+    out = eval_expr(expr, trace)
+    assert out == oracle_expr(expr, dates, n)
+    ref = trace.dates("ref")
+    assert all(date is ref[date - ref[0]] for date in out)

@@ -1,6 +1,9 @@
 import csv
 import io
+import os
 import re
+import tempfile
+import threading
 from unittest import mock
 
 import pytest
@@ -289,9 +292,9 @@ def edited_csvs(draw):
     return text
 
 
-def outcome(source):
+def outcome(source, clocks=None):
     try:
-        trace = read_trace(source)
+        trace = read_trace(source, clocks=clocks)
     except TraceFormatError as exc:
         return str(exc), exc.line
     return trace.clocks, len(trace), {name: trace.dates(name) for name in trace.clocks}
@@ -312,3 +315,113 @@ def test_reader_matches_csv_reader_reference_at_any_segment_size(text):
         assert outcomes[0][1] == expected
     else:
         assert outcomes[0] == expected
+
+
+def restricted(full, clocks):
+    """A full read's outcome cut down to ``clocks``, in header order."""
+    if not isinstance(full[0], tuple):
+        return full  # an error
+    kept = tuple(name for name in full[0] if name in clocks)
+    return kept, full[1], {name: full[2][name] for name in kept}
+
+
+def outcomes_of(tmp_path, text, clocks=None):
+    """The outcomes of reading ``text`` from a path and from a text stream."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return [outcome(path, clocks), outcome(io.StringIO(text), clocks)]
+
+
+@pytest.mark.parametrize("rows", [3, 1000, _BLOCK_ROWS])
+def test_projection_equals_the_full_read_restricted(tmp_path, rows):
+    text = trace_to_string(block_trace(10001))
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        full = outcomes_of(tmp_path, text)
+        for clocks in ([], ["ms"], ["b", "a"], ["a", "zz"], ["zz"], ["ms", "a", "b"]):
+            assert outcomes_of(tmp_path, text, clocks) == [restricted(each, clocks) for each in full]
+
+
+def test_dense_columns_share_the_segment_step_ints():
+    # a and b tick on more than one row in 16, so both take their dates
+    # from one list of the segment's steps: the same int objects as ms
+    steps = 3000
+    dates = {"ms": range(steps), "a": range(0, steps, 2), "b": range(0, steps, 3)}
+    text = trace_to_string(Trace.from_dates(list(dates), steps, dates))
+    back = read_trace(io.StringIO(text))
+    ms = back.dates("ms")
+    assert all(date is ms[date] for name in ("a", "b") for date in back.dates(name))
+
+
+@pytest.mark.parametrize("rows", [7, _BLOCK_ROWS])
+@pytest.mark.parametrize("fallback", [False, True], ids=["canonical", "after-fallback"])
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        ("{s},1,0,2", "must be 0 or 1"),  # in b, which the projection drops
+        ("{s}9,1,0,0", "non-consecutive step index"),
+        ("{s},1,0,0,0", "row has 5 fields"),
+        ("{s},1,0", "row has 3 fields"),
+    ],
+)
+def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, fallback, rows):
+    line = 2 * _BLOCK_ROWS + 5
+    text = edit_line(trace_to_string(block_trace(3 * _BLOCK_ROWS)), line, row.format(s=line - 2))
+    if fallback:  # a CRLF row a segment earlier sends every later row through csv.reader
+        earlier = line - _BLOCK_ROWS
+        text = edit_line(text, earlier, text.split("\n")[earlier - 1] + "\r")
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        full = outcomes_of(tmp_path, text)
+        assert all(at == line and fragment in message for message, at in full)
+        assert outcomes_of(tmp_path, text, ["ms", "a"]) == full
+
+
+@pytest.mark.parametrize("rows", [7, _BLOCK_ROWS])
+def test_later_segment_of_a_path_reads_as_a_stream(tmp_path, rows):
+    # past the text layer's first chunk, a path's body is read as bytes;
+    # a segment that is not canonical there is read on as text
+    canonical = trace_to_string(block_trace(3 * _BLOCK_ROWS))
+    line = 2 * _BLOCK_ROWS + 5
+    row = canonical.split("\n")[line - 1]
+    quoted = edit_line(canonical, line, row.replace(",1", ',"1"', 1))
+    crlf = edit_line(canonical, line, row + "\r")
+    accented = edit_line(canonical, line, row[:-1] + "\u00e9")
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        for text in (quoted, crlf, canonical.removesuffix("\n")):
+            path_read, stream_read = outcomes_of(tmp_path, text)
+            assert path_read == stream_read == outcome(io.StringIO(canonical))
+            assert outcomes_of(tmp_path, text, ["a"]) == [restricted(path_read, ["a"])] * 2
+        path_read, stream_read = outcomes_of(tmp_path, accented)
+        assert path_read == stream_read and path_read[1] == line and "must be 0 or 1" in path_read[0]
+        path = tmp_path / "t.csv"
+        path.write_bytes(canonical.encode("ascii").replace(row.encode(), row[:-1].encode() + b"\xff"))
+        for clocks in (None, ["a"]):
+            message, at = outcome(path, clocks)
+            assert "not valid UTF-8" in message and at == line
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_unseekable_path_is_read_as_a_stream(tmp_path):
+    text = trace_to_string(block_trace(_BLOCK_ROWS + 20))  # more than a pipe holds
+    fifo = tmp_path / "t.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    back = read_trace(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert trace_to_string(back) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edited_csvs(), clocks=st.lists(st.sampled_from(["ms", "a", "b", "zz"])))
+def test_path_and_stream_reads_agree_with_and_without_projection(text, clocks):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "t.csv")
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        for rows in (1, 3, _BLOCK_ROWS):
+            with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+                full = outcome(io.StringIO(text, newline=""))
+                assert outcome(path) == full
+                assert outcome(path, clocks) == restricted(full, clocks)
+                assert outcome(io.StringIO(text), clocks) == restricted(full, clocks)
