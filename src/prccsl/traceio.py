@@ -125,6 +125,8 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
     """
     import csv  # here, not at the top: the write path never needs it
 
+    if isinstance(clocks, str):  # would keep the clocks named by its letters
+        raise TypeError(f"clocks must be clock names, not one str: {clocks!r}")
     with _opened(source, "r") as handle:
         line = handle.readline()
         first = io.StringIO(line, newline="")  # a stream may end lines at "\n" only

@@ -341,6 +341,11 @@ def test_projection_equals_the_full_read_restricted(tmp_path, rows):
             assert outcomes_of(tmp_path, text, clocks) == [restricted(each, clocks) for each in full]
 
 
+def test_projection_rejects_one_str():
+    with pytest.raises(TypeError, match="not one str: 'ms'"):
+        read_trace(io.StringIO(CANONICAL), clocks="ms")
+
+
 def test_dense_columns_share_the_segment_step_ints():
     # a and b tick on more than one row in 16, so both take their dates
     # from one list of the segment's steps: the same int objects as ms
