@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import sys
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from prccsl import (
     SpecValidationError,
     Sup,
     Trace,
+    Verdict,
     check_relations,
     clocks_of,
     elaborate,
@@ -353,3 +356,49 @@ def test_only_elaborated_relations_are_monitorable():
     assert (raw.id, raw.message) == ("r", "unknown clock(s) in trace: half")
     (verdict,) = check_relations(elaborate(spec)[1], trace)
     assert (verdict.k, verdict.m, verdict.outcome) == (2, 2, "valid")
+
+
+# record kind -> a field, a record and its repr
+_RECORDS = {
+    "RelationSpec": (
+        "threshold",
+        RelationSpec("R1", RelationKind.CAUSALITY, Ref("a"), Ref("ms"), Fraction(1, 2), 5),
+        "RelationSpec(id='R1', kind=<RelationKind.CAUSALITY: 'causality'>, left=Ref(clock='a'), "
+        "right=Ref(clock='ms'), threshold=Fraction(1, 2), sample_size=5)",
+    ),
+    "Verdict": (
+        "k",
+        Verdict("R1", RelationKind.CAUSALITY, 4, 3, Fraction(3, 4), Fraction(1, 2), "valid"),
+        "Verdict(id='R1', kind=<RelationKind.CAUSALITY: 'causality'>, k=4, m=3, "
+        "probability=Fraction(3, 4), threshold=Fraction(1, 2), outcome='valid')",
+    ),
+    "RelationError": (
+        "message",
+        RelationError("R2", "unknown clock(s) in trace: b"),
+        "RelationError(id='R2', message='unknown clock(s) in trace: b')",
+    ),
+    "Definition": (
+        "expr",
+        Definition("d", PeriodicOn(Ref("ms"), 2)),
+        "Definition(name='d', expr=PeriodicOn(base=Ref(clock='ms'), period=2))",
+    ),
+    "SpecFile": (
+        "clocks",
+        SpecFile(("a",), (Definition("d", Ref("a")),), (), 10, None),
+        "SpecFile(clocks=('a',), definitions=(Definition(name='d', expr=Ref(clock='a')),), "
+        "relations=(), steps=10, samples=None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("field, record, text", _RECORDS.values(), ids=_RECORDS)
+def test_records_are_frozen_and_keep_their_repr(field, record, text):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, None)
+    assert repr(record) == text
+    restored = pickle.loads(pickle.dumps(record))
+    assert (type(restored), restored) == (type(record), record)
+
+
+def test_spec_file_defaults():
+    assert repr(SpecFile()) == "SpecFile(clocks=(), definitions=(), relations=(), steps=None, samples=None)"
