@@ -107,8 +107,6 @@ def _emit(report: dict[str, Any], args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from .errors import SpecSyntaxError, bad_utf8_position
     from .exprs import clocks_of
     from .relations import check_relations
@@ -126,7 +124,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise SpecSyntaxError("not valid UTF-8", *bad_utf8_position(args.spec)) from None
     spec = parse(text)
     if args.samples is not None:
-        spec = replace(spec, samples=args.samples)
+        spec = spec._replace(samples=args.samples)
     _, relations = elaborate(spec)
     # every cell is still validated; only the clocks the relations name get date lists
     named = set().union(*(clocks_of(rel.left) | clocks_of(rel.right) for rel in relations))
@@ -158,7 +156,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_av(args: argparse.Namespace) -> int:
-    from dataclasses import replace
     from importlib import resources
 
     from .relations import check_relations
@@ -171,7 +168,7 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
     spec = parse(text)
     _, relations = elaborate(spec)
     if args.threshold is not None:
-        relations = [replace(rel, threshold=args.threshold) for rel in relations]
+        relations = [rel._replace(threshold=args.threshold) for rel in relations]
     steps = args.steps
     if steps is None:
         steps = spec.steps if spec.steps is not None else _DEFAULT_STEPS

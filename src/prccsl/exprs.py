@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import repeat
 from operator import le
 from typing import Union
@@ -44,21 +43,24 @@ class _Node:
     """The shared part of the node kinds, which only declare their fields.
 
     A field's annotation gives its role: an operand, a positive count or
-    a clock name.  A node keeps its hash, computed from its operands'
-    kept hashes, and equality compares operand tuples, which skip
-    operands that are the same object: definitions that reuse one
-    another make a DAG whose tree form is exponentially large.  A kept
-    hash holds only in its own process (str hashes are salted), so a
-    node pickles as its constructor call.
+    a clock name.  A node keeps its hash and its clock names, computed
+    from its operands' kept ones, and equality compares operand tuples,
+    which skip operands that are the same object: definitions that
+    reuse one another make a DAG whose tree form is exponentially large.
+    A kept hash holds only in its own process (str hashes are salted),
+    so a node pickles as its constructor call.
     """
 
     def __post_init__(self) -> None:
         kind, values = self.__reduce__()
         fields = zip(self.__match_args__, kind.__annotations__.values(), values)
+        clocks: set[str] = set()
         # operands first: DelayFor(Ref("a"), 0, "ms") names its ref, not its delay
         for name, role, value in sorted(fields, key=lambda field: field[1] != "ClockExpr"):
-            if role == "ClockExpr" and not isinstance(value, _Node):
-                raise ExpressionError(f"{name} operand is not a clock expression: {value!r}")
+            if role == "ClockExpr":
+                if not isinstance(value, _Node):
+                    raise ExpressionError(f"{name} operand is not a clock expression: {value!r}")
+                clocks |= value._clocks
             # a bool is an int, but True would render as "period True"
             if role == "int" and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
                 raise ExpressionError(f"{name} must be a positive integer, got {value!r}")
@@ -67,7 +69,9 @@ class _Node:
                     validate_clock_name(value)
                 except DeclarationError as exc:
                     raise ExpressionError(str(exc)) from None
+                clocks.add(value)
         object.__setattr__(self, "_hash", hash((kind, values)))
+        object.__setattr__(self, "_clocks", frozenset(clocks))
 
     def __hash__(self) -> int:
         return self._hash
@@ -115,22 +119,10 @@ ClockExpr = Union[Ref, PeriodicOn, DelayFor, Inf, Sup]
 
 
 def clocks_of(expr: ClockExpr) -> frozenset[str]:
-    """All clock names referenced anywhere inside ``expr``.
-
-    Each distinct sub-expression is visited once, so shared operands
-    cost their own size, not the number of paths that reach them.
-    """
-
-    @cache
-    def names(node: ClockExpr) -> frozenset[str]:
-        if isinstance(node, Ref):
-            return frozenset((node.clock,))
-        if not isinstance(node, _Node):
-            raise ExpressionError(f"not a clock expression: {node!r}")
-        _, values = node.__reduce__()
-        return frozenset().union(*(names(value) for value in values if isinstance(value, _Node)))
-
-    return names(expr)
+    """All clock names referenced anywhere inside ``expr``, which each node keeps."""
+    if not isinstance(expr, _Node):
+        raise ExpressionError(f"not a clock expression: {expr!r}")
+    return expr._clocks
 
 
 def eval_expr(
@@ -201,17 +193,22 @@ def _delay_for(base: list[int], delay: int, ref: list[int]) -> list[int]:
     and base dates whose targets coincide give one output tick.  When
     ref is a run first..last (like ms), a base date d >= first is due
     at d + delay and every date before first at first + delay - 1, so
-    the output is a shifted slice of base.  When that slice is a run,
-    its targets are a slice of ref, so the output holds ref's own int
-    objects and makes no new ones.
+    the output is a shifted slice of base.  When that slice steps by a
+    constant stride (a run, or a periodicon of ms), its targets are a
+    strided slice of ref, so the output holds ref's own int objects and
+    makes no new ones.
     """
     if is_run(ref):
         first, last = ref[0], ref[-1]
         start = bisect_left(base, first)
         dates = ref[delay - 1:delay] if start else []  # first + delay - 1, if ref has delay dates
         kept = base[start:bisect_right(base, last - delay)]
-        if is_run(kept):
-            dates += ref[kept[0] + delay - first:kept[-1] + delay - first + 1]
+        if not kept:
+            return dates
+        low, high = kept[0] - first, kept[-1] - first + 1  # kept's span as ref indices
+        stride = kept[1] - kept[0] if len(kept) > 1 else 1
+        if high - 1 - low == stride * (len(kept) - 1) and kept == ref[low:high:stride]:
+            dates += ref[low + delay:high + delay:stride]
         else:
             dates += [date + delay for date in kept]
         return dates

@@ -20,12 +20,16 @@ the relation holds at threshold p iff m/k >= p, compared in exact
 rational arithmetic.  A monitor with a sample size N keeps only the
 first N observations in step order, freezing its verdict once k
 reaches N.
+
+RelationSpec, Verdict and RelationError are named tuples whose
+assignment raises FrozenInstanceError, as a frozen dataclass's does.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from enum import Enum, unique
 from fractions import Fraction
 from operator import ge, gt
@@ -53,50 +57,50 @@ class RelationKind(Enum):
     PRECEDENCE = "precedence"
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    """One probabilistic relation to monitor.
+def _frozen(self, name: str, value: object) -> None:
+    """The records' ``__setattr__``: they are immutable, as frozen dataclasses are."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold sample_size",
+                              defaults=(None,))):
+    """One probabilistic relation to monitor (a named tuple).
 
     ``threshold`` is the probability bound p as an exact rational in
     [0, 1].  ``sample_size`` of None means the whole trace is the
     sample; a positive N freezes the verdict once k reaches N.
     """
 
-    id: str
-    kind: RelationKind
-    left: ClockExpr
-    right: ClockExpr
-    threshold: Fraction
-    sample_size: int | None = None
+    __slots__ = ()
+    __setattr__ = _frozen
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RelationSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.id:
             raise ValueError("relation id must be nonempty")
         if not 0 <= self.threshold <= 1:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError(f"sample size must be positive, got {self.sample_size}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> RelationSpec:  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Final judgement of one relation on one trace."""
+class Verdict(namedtuple("Verdict", "id kind k m probability threshold outcome")):
+    """Final judgement of one relation on one trace; outcome is "valid", "fail" or "vacuous"."""
 
-    id: str
-    kind: RelationKind
-    k: int
-    m: int
-    probability: Fraction | None
-    threshold: Fraction
-    outcome: str  # "valid" | "fail" | "vacuous"
+    __slots__ = ()
+    __setattr__ = _frozen
 
 
-@dataclass(frozen=True)
-class RelationError:
-    """A relation that could not be evaluated (reported, not raised)."""
+class RelationError(namedtuple("RelationError", "id message")):
+    """A relation that could not be evaluated (reported, not raised; a named tuple)."""
 
-    id: str
-    message: str
+    __slots__ = ()
+    __setattr__ = _frozen
 
 
 CheckResult = Union[Verdict, RelationError]

@@ -18,20 +18,22 @@ Expression forms: a bare name, ``periodicon <expr> period N``,
 ``<expr> delayfor N on <atom>`` (left-associative), ``inf(e, e)``,
 ``sup(e, e)``, and parentheses.  Thresholds are decimal literals kept
 as exact rationals.
+
+A parsed file is a SpecFile of Definition and RelationSpec records, all
+named tuples; ``elaborate`` builds its relations with ``_replace``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .clocks import UNIVERSAL_CLOCK
 from .errors import SpecSyntaxError, SpecValidationError
 from .exprs import ClockExpr, DelayFor, Inf, PeriodicOn, Ref, Sup
-from .relations import RelationKind, RelationSpec
+from .relations import RelationKind, RelationSpec, _frozen
 
 __all__ = [
     "Definition",
@@ -86,15 +88,16 @@ _KIND_TO_RELOP = {kind: word for word, kind in _RELOPS.items()}
 # -- AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    expr: ClockExpr
+class Definition(namedtuple("Definition", "name expr")):
+    """A named clock expression, ``def name = expr`` (a named tuple)."""
+
+    __slots__ = ()
+    __setattr__ = _frozen
 
 
-@dataclass(frozen=True)
-class SpecFile:
-    """A parsed spec: its statements grouped by kind, in text order.
+class SpecFile(namedtuple("SpecFile", "clocks definitions relations steps samples",
+                          defaults=((), (), (), None, None))):
+    """A parsed spec: its statements grouped by kind, in text order (a named tuple).
 
     ``clocks`` are the declared clock names and ``steps``/``samples``
     the ``set`` values (None when not set).  A relation's operands may
@@ -104,11 +107,8 @@ class SpecFile:
     yields a RelationError naming it, never a verdict.
     """
 
-    clocks: tuple[str, ...] = ()
-    definitions: tuple[Definition, ...] = ()
-    relations: tuple[RelationSpec, ...] = ()
-    steps: int | None = None
-    samples: int | None = None
+    __slots__ = ()
+    __setattr__ = _frozen
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -454,7 +454,7 @@ def elaborate(spec: SpecFile) -> tuple[tuple[str, ...], list[RelationSpec]]:
 
     alphabet = (UNIVERSAL_CLOCK, *spec.clocks)
     relations = [
-        replace(rel, left=inline(rel.left), right=inline(rel.right), sample_size=spec.samples)
+        rel._replace(left=inline(rel.left), right=inline(rel.right), sample_size=spec.samples)
         for rel in spec.relations
     ]
     return alphabet, relations

@@ -162,3 +162,36 @@ def test_delay_for_on_run_ref_and_run_base_matches_oracle(base, delay):
     assert out == oracle_expr(expr, dates, n)
     ref = trace.dates("ref")
     assert all(date is ref[date - ref[0]] for date in out)
+
+
+@pytest.mark.parametrize("delay", [1, 3, 17])
+@pytest.mark.parametrize(
+    "base",
+    [(1004, 1030, 2), (1004, 1030, 3), (1000, 1040, 3)],
+    ids=["stride-2", "stride-3", "offset-stride-3"],
+)
+def test_delay_for_on_run_ref_and_strided_base_holds_ref_dates(base, delay):
+    # ref ticks on steps 1004..1035, as in the run test above; the offset
+    # base puts 1000 and 1003 before ref and its other dates off ref's grid
+    n = 1040
+    dates = {"base": list(range(*base)), "ref": list(range(1004, 1036))}
+    trace = Trace.from_dates(("base", "ref"), n, dates)
+    expr = DelayFor(Ref("base"), delay, Ref("ref"))
+    out = eval_expr(expr, trace)
+    assert out == oracle_expr(expr, dates, n)
+    ref = trace.dates("ref")
+    assert len(out) > 1 and all(date is ref[date - ref[0]] for date in out)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [[1004, 1006, 1007, 1010], [1004, 1006, 1009], [1005, 1006, 1008, 1010, 1012]],
+    ids=["even-span", "uneven-span", "stride-breaks"],
+)
+def test_delay_for_on_run_ref_and_non_progression_base_matches_oracle(base):
+    n = 1040
+    dates = {"base": base, "ref": list(range(1004, 1036))}
+    trace = Trace.from_dates(("base", "ref"), n, dates)
+    for delay in (1, 2, 5):
+        expr = DelayFor(Ref("base"), delay, Ref("ref"))
+        assert eval_expr(expr, trace) == oracle_expr(expr, dates, n)

@@ -402,3 +402,10 @@ def test_records_are_frozen_and_keep_their_repr(field, record, text):
 
 def test_spec_file_defaults():
     assert repr(SpecFile()) == "SpecFile(clocks=(), definitions=(), relations=(), steps=None, samples=None)"
+
+
+def test_relation_spec_replace_checks_the_new_values():
+    record = _RECORDS["RelationSpec"][1]
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got 3/2"):
+        record._replace(threshold=Fraction(3, 2))
+    assert record._replace(sample_size=None).sample_size is None
