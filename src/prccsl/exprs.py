@@ -141,10 +141,6 @@ def eval_expr(
     """
     if cache is None:
         cache = {}
-    return _eval(expr, trace, cache)
-
-
-def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[int]]) -> list[int]:
     hit = cache.get(expr)
     if hit is not None:
         return hit
@@ -153,31 +149,23 @@ def _eval(expr: ClockExpr, trace: Trace, cache: dict[ClockExpr, list[int]]) -> l
             dates = trace.dates(clock)
         case PeriodicOn(base, period):
             # the j-th base tick has history j: keep j = 0, p, 2p, ...
-            dates = _eval(base, trace, cache)[::period]
+            dates = eval_expr(base, trace, cache)[::period]
         case DelayFor(base, delay, ref):
-            dates = _delay_for(_eval(base, trace, cache), delay, _eval(ref, trace, cache))
-        case Inf(left, right):
-            a, b = _eval(left, trace, cache), _eval(right, trace, cache)
+            dates = _delay_for(eval_expr(base, trace, cache), delay, eval_expr(ref, trace, cache))
+        case Inf(left, right) | Sup(left, right):
+            a, b = eval_expr(left, trace, cache), eval_expr(right, trace, cache)
             if len(a) < len(b):
                 a, b = b, a
-            # the j-th tick comes with whichever operand reaches it first;
-            # past the end of the shorter operand the longer one ticks alone.
-            # An operand first at every tick is kept, which a C-level all()
-            # finds without building a list; else merge (the comprehensions
-            # here run about 3x faster than map(min, ...))
+            # inf's j-th tick comes with the operand that reaches it first
+            # (past the shorter one the longer ticks alone), sup's waits for
+            # the one that reaches it last.  When the longer operand is first
+            # at every tick (a C-level all() finds it without building a
+            # list), each is an operand as is; else merge (these
+            # comprehensions run about 3x faster than map(min, ...))
             if all(map(le, a, b)):
-                dates = a
-            elif all(map(le, b, a)):
-                dates = b + a[len(b):]
-            else:
+                dates = a if isinstance(expr, Inf) else b
+            elif isinstance(expr, Inf):
                 dates = [x if x < y else y for x, y in zip(a, b)] + a[len(b):]
-        case Sup(left, right):
-            # the j-th tick waits for the operand that reaches it last
-            a, b = _eval(left, trace, cache), _eval(right, trace, cache)
-            if all(map(le, a, b)):
-                dates = b[:len(a)]
-            elif all(map(le, b, a)):
-                dates = a[:len(b)]
             else:
                 dates = [x if x > y else y for x, y in zip(a, b)]
         case _:

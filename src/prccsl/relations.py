@@ -11,15 +11,15 @@ sum(right[j] >= left[j]) + max(0, len(left) - len(right)), and precedes
 the same with ">", since a right tick on the date counts against it.
 Subclock, coincides and excludes count the shared dates of the lists.
 An operand that is a run a..b of consecutive dates (last date minus
-first equals length minus one) costs O(log n): the other list shares
-the dates between two of its bisects, and a right run a + j beats
-left[j] iff left[j] - j <= a, a key that never decreases in j, so the
-causes sum is one bisect over j (mirrored over right[j] - j when the
-run is on the left).  The verdict is a fixed-sample hypothesis test:
-the relation holds at threshold p iff m/k >= p, compared in exact
-rational arithmetic.  A monitor with a sample size N keeps only the
-first N observations in step order, freezing its verdict once k
-reaches N.
+first equals length minus one) shares with the other list the dates
+between two of its bisects.  On the right of causes and precedes, a
+run a + j beats left[j] iff left[j] - j <= a, a key that never
+decreases in j, so the sum is one bisect over j; a run on the left is
+counted pair by pair, as any other list is.  The verdict is a
+fixed-sample hypothesis test: the relation holds at threshold p iff
+m/k >= p, compared in exact rational arithmetic.  A monitor with a
+sample size N keeps only the first N observations in step order,
+freezing its verdict once k reaches N.
 
 RelationSpec, Verdict and RelationError are named tuples whose
 assignment raises FrozenInstanceError, as a frozen dataclass's does.
@@ -66,9 +66,10 @@ class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold samp
                               defaults=(None,))):
     """One probabilistic relation to monitor (a named tuple).
 
-    ``threshold`` is the probability bound p as an exact rational in
-    [0, 1].  ``sample_size`` of None means the whole trace is the
-    sample; a positive N freezes the verdict once k reaches N.
+    ``threshold`` is the probability bound p as an exact rational (an
+    int or a Fraction) in [0, 1].  ``sample_size`` of None means the
+    whole trace is the sample; a positive int N freezes the verdict once
+    k reaches N.
     """
 
     __slots__ = ()
@@ -78,10 +79,16 @@ class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold samp
         self = super().__new__(cls, *args, **kwargs)
         if not self.id:
             raise ValueError("relation id must be nonempty")
-        if not 0 <= self.threshold <= 1:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ValueError(f"sample size must be positive, got {self.sample_size}")
+        p, size = self.threshold, self.sample_size
+        # a bool is an int, but True would be reported as threshold=True
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+            raise ValueError(f"threshold must be an int or a Fraction, got {p!r}")
+        if not 0 <= p <= 1:
+            raise ValueError(f"threshold must be in [0, 1], got {p}")
+        if size is not None and (isinstance(size, bool) or not isinstance(size, int)):
+            raise ValueError(f"sample size must be an int or None, got {size!r}")
+        if size is not None and size < 1:
+            raise ValueError(f"sample size must be positive, got {size}")
         return self
 
     @classmethod
@@ -164,10 +171,6 @@ def _count(
     if is_run(right):  # right[j] = a + j: left[j] - j <= a (< a)
         beaten = (bisect_right if causes else bisect_left)(
             range(n), right[0], key=lambda j: left[j] - j
-        )
-    elif is_run(left):  # left[j] = a + j: right[j] - j >= a (> a)
-        beaten = n - (bisect_left if causes else bisect_right)(
-            range(n), left[0], key=lambda j: right[j] - j
         )
     else:
         beaten = sum(map(ge if causes else gt, right, left))

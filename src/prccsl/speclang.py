@@ -51,6 +51,14 @@ __all__ = [
 # leaf with definitions inlined; the bundled corpus reaches about 4.
 _MAX_DEPTH = 100
 
+_RELOPS = {
+    "subclockof": RelationKind.SUBCLOCK,
+    "coincides": RelationKind.COINCIDENCE,
+    "excludes": RelationKind.EXCLUSION,
+    "causes": RelationKind.CAUSALITY,
+    "precedes": RelationKind.PRECEDENCE,
+}
+
 KEYWORDS = frozenset(
     {
         "clock",
@@ -60,27 +68,15 @@ KEYWORDS = frozenset(
         "steps",
         "samples",
         "prob",
-        "subclockof",
-        "coincides",
-        "excludes",
-        "causes",
-        "precedes",
         "periodicon",
         "period",
         "delayfor",
         "on",
         "inf",
         "sup",
+        *_RELOPS,
     }
 )
-
-_RELOPS = {
-    "subclockof": RelationKind.SUBCLOCK,
-    "coincides": RelationKind.COINCIDENCE,
-    "excludes": RelationKind.EXCLUSION,
-    "causes": RelationKind.CAUSALITY,
-    "precedes": RelationKind.PRECEDENCE,
-}
 
 _KIND_TO_RELOP = {kind: word for word, kind in _RELOPS.items()}
 

@@ -119,8 +119,9 @@ def test_periodic_is_subclock_and_delay_is_subclock_of_ref(tn):
     assert set(delayed) <= set(trace.dates("b"))
 
 
-# Inf and Sup keep an operand that leads (or trails) at every tick as it
-# is; these pairs reach every such branch and the merge between them.
+# Inf and Sup return the operands as they are when the longer one (the
+# left one if both are as long) is at or before the other at every tick,
+# and merge otherwise; these pairs take both paths, in either order.
 DOMINANCE_N = 60
 DOMINANCE_PAIRS = {
     "equal": ([1, 4, 6], [1, 4, 6]),
@@ -142,6 +143,16 @@ def test_inf_sup_of_dominating_operands_match_oracle(pair, node):
     trace = Trace.from_dates(("a", "b"), DOMINANCE_N, {"a": a, "b": b})
     for expr in (node(Ref("a"), Ref("b")), node(Ref("b"), Ref("a"))):
         assert eval_expr(expr, trace) == oracle_expr(expr, {"a": a, "b": b}, DOMINANCE_N)
+
+
+@pytest.mark.parametrize("pair", ["equal", "prefix", "p2-p3", "p3-p2"])
+def test_inf_sup_of_dominating_operands_share_their_lists(pair):
+    a, b = DOMINANCE_PAIRS[pair]
+    trace = Trace.from_dates(("a", "b"), DOMINANCE_N, {"a": a, "b": b})
+    for left, right in (("a", "b"), ("b", "a")):
+        longer, shorter = sorted((left, right), key=lambda name: -len(trace.dates(name)))
+        assert eval_expr(Inf(Ref(left), Ref(right)), trace) is trace.dates(longer)
+        assert eval_expr(Sup(Ref(left), Ref(right)), trace) is trace.dates(shorter)
 
 
 @pytest.mark.parametrize("delay", [1, 3, 16, 17])

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,20 @@ def test_relation_spec_validation():
         RelationSpec("", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), Fraction(1, 2))
     with pytest.raises(ValueError):
         RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), Fraction(1, 2), 0)
+    # a float threshold would fail later in the verdict, True would be
+    # reported as threshold=True, sample_size=True would cap the sample
+    # at 1 and 2.5 would fail as a slice bound
+    for threshold in (0.5, Decimal("0.5"), "1/2", True, False):
+        with pytest.raises(ValueError, match="threshold must be an int or a Fraction"):
+            RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), threshold)
+    for sample_size in (True, False, 2.5, "3", Fraction(3)):
+        with pytest.raises(ValueError, match="sample size must be an int or None"):
+            RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), Fraction(1, 2), sample_size)
+    record = RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), 1, 3)
+    with pytest.raises(ValueError, match="threshold must be an int or a Fraction"):
+        record._replace(threshold=0.5)
+    with pytest.raises(ValueError, match="sample size must be an int or None"):
+        record._replace(sample_size=True)
 
 
 def test_memory_grows_with_ticks_not_steps():
