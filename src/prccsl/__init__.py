@@ -9,7 +9,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# module -> the names it exports through the package
+# module -> the names it exports through the package, which are its __all__
 _EXPORTS = {
     "clocks": ("UNIVERSAL_CLOCK", "Trace"),
     "errors": (

@@ -66,25 +66,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="check a spec against a trace CSV")
+    check.set_defaults(run=_cmd_check)
     check.add_argument("--spec", required=True, help="path to a .prccsl file")
     check.add_argument("--trace", required=True, help="path to a trace CSV")
     check.add_argument("--samples", type=int, help="sample cap overriding the spec")
-    check.add_argument("--out", help="write the JSON report to this path")
-    check.add_argument("--format", choices=("text", "json"), default="text")
 
     sim = sub.add_parser("simulate", help="simulate the vehicle model")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--steps", type=int, default=_DEFAULT_STEPS)
-    sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--fault", type=_fault_arg, metavar="TARGET:RATE")
-    sim.add_argument("--out", required=True, help="trace CSV output path")
 
     verify = sub.add_parser("verify-av", help="simulate and check the bundled corpus")
+    verify.set_defaults(run=_cmd_verify_av)
     verify.add_argument("--steps", type=int, help="override the corpus step count")
     verify.add_argument("--threshold", type=_threshold_arg, help="replace every relation threshold")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--fault", type=_fault_arg, metavar="TARGET:RATE")
-    verify.add_argument("--out", help="write the JSON report to this path")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
+
+    # shared options, each declared once; simulate's own --out between the loops
+    # keeps its --help order
+    for command in (sim, verify):
+        command.add_argument("--seed", type=int, default=42)
+        command.add_argument("--fault", type=_fault_arg, metavar="TARGET:RATE")
+    sim.add_argument("--out", required=True, help="trace CSV output path")
+    for command in (check, verify):
+        command.add_argument("--out", help="write the JSON report to this path")
+        command.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -189,18 +193,11 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
     return _emit(report, args)
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "simulate": _cmd_simulate,
-    "verify-av": _cmd_verify_av,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (PrccslError, OSError, ValueError, OverflowError, MemoryError) as exc:
         # too many steps raise either of the last two; a MemoryError has no text
         print(f"prccsl: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -24,9 +24,10 @@ from itertools import islice
 from operator import lt
 from typing import Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .errors import DeclarationError, UnknownClockError
 
-__all__ = ["UNIVERSAL_CLOCK", "Trace"]
+__all__ = _EXPORTS["clocks"]
 
 UNIVERSAL_CLOCK = "ms"
 
@@ -60,7 +61,7 @@ class Trace:
     ``Trace(clocks)`` is the empty trace over a validated alphabet.
     """
 
-    __slots__ = ("_clocks", "_dates", "_length")
+    __slots__ = ("_dates", "_length")
 
     def __init__(self, clocks: Sequence[str]):
         dates: dict[str, list[int]] = {}
@@ -69,7 +70,6 @@ class Trace:
             if name in dates:
                 raise DeclarationError(f"duplicate clock {name!r}")
             dates[name] = []
-        self._clocks: tuple[str, ...] = tuple(clocks)
         self._dates = dates
         self._length = 0
 
@@ -116,7 +116,7 @@ class Trace:
 
     @property
     def clocks(self) -> tuple[str, ...]:
-        return self._clocks
+        return tuple(self._dates)
 
     def __len__(self) -> int:
         return self._length

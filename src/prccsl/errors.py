@@ -5,10 +5,9 @@ from __future__ import annotations
 from io import StringIO
 from os import PathLike
 
-__all__ = [
-    "PrccslError", "DeclarationError", "UnknownClockError", "ExpressionError",
-    "SpecSyntaxError", "SpecValidationError", "TraceFormatError", "FaultTargetError",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class PrccslError(Exception):

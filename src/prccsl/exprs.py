@@ -25,18 +25,11 @@ from itertools import repeat
 from operator import le
 from typing import Union
 
+from . import _EXPORTS
 from .clocks import Trace, is_run, validate_clock_name
 from .errors import DeclarationError, ExpressionError
 
-__all__ = [
-    "Ref",
-    "PeriodicOn",
-    "DelayFor",
-    "Inf",
-    "Sup",
-    "clocks_of",
-    "eval_expr",
-]
+__all__ = _EXPORTS["exprs"]
 
 
 class _Node:
@@ -139,6 +132,7 @@ def eval_expr(
     Referencing a clock the trace does not declare raises
     UnknownClockError.
     """
+    clocks_of(expr)  # a non-node is an ExpressionError, even one that cannot be hashed
     if cache is None:
         cache = {}
     hit = cache.get(expr)
@@ -168,8 +162,6 @@ def eval_expr(
                 dates = [x if x < y else y for x, y in zip(a, b)] + a[len(b):]
             else:
                 dates = [x if x > y else y for x, y in zip(a, b)]
-        case _:
-            raise ExpressionError(f"not a clock expression: {expr!r}")
     cache[expr] = dates
     return dates
 

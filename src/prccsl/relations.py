@@ -35,17 +35,11 @@ from fractions import Fraction
 from operator import ge, gt
 from typing import Sequence, Union
 
+from . import _EXPORTS
 from .clocks import Trace, is_run
 from .exprs import ClockExpr, clocks_of, eval_expr
 
-__all__ = [
-    "RelationKind",
-    "RelationSpec",
-    "Verdict",
-    "RelationError",
-    "CheckResult",
-    "check_relations",
-]
+__all__ = _EXPORTS["relations"]
 
 
 @unique
@@ -66,10 +60,10 @@ class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold samp
                               defaults=(None,))):
     """One probabilistic relation to monitor (a named tuple).
 
-    ``threshold`` is the probability bound p as an exact rational (an
-    int or a Fraction) in [0, 1].  ``sample_size`` of None means the
-    whole trace is the sample; a positive int N freezes the verdict once
-    k reaches N.
+    ``kind`` is a RelationKind member and ``threshold`` the probability
+    bound p as an exact rational (an int or a Fraction) in [0, 1].
+    ``sample_size`` of None means the whole trace is the sample; a
+    positive int N freezes the verdict once k reaches N.
     """
 
     __slots__ = ()
@@ -79,6 +73,8 @@ class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold samp
         self = super().__new__(cls, *args, **kwargs)
         if not self.id:
             raise ValueError("relation id must be nonempty")
+        if not isinstance(self.kind, RelationKind):
+            raise ValueError(f"kind must be a RelationKind, got {self.kind!r}")
         p, size = self.threshold, self.sample_size
         # a bool is an int, but True would be reported as threshold=True
         if isinstance(p, bool) or not isinstance(p, (int, Fraction)):

@@ -11,9 +11,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
 
+from . import _EXPORTS
 from .relations import CheckResult, RelationError, Verdict
 
-__all__ = ["build_report", "render_text"]
+__all__ = _EXPORTS["report"]
 
 _PRECISION = 15  # significant digits for decimal renderings
 

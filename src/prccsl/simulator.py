@@ -55,17 +55,11 @@ from operator import add, rshift
 from struct import unpack
 from typing import Iterator
 
+from . import _EXPORTS
 from .clocks import UNIVERSAL_CLOCK, Trace
 from .errors import FaultTargetError
 
-__all__ = [
-    "ALPHABET",
-    "AVParams",
-    "FaultSpec",
-    "FAULT_TARGETS",
-    "simulate",
-    "simulate_faulty",
-]
+__all__ = _EXPORTS["simulator"]
 
 ALPHABET = (
     UNIVERSAL_CLOCK,

@@ -30,20 +30,13 @@ from collections import namedtuple
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
+from . import _EXPORTS
 from .clocks import UNIVERSAL_CLOCK
 from .errors import SpecSyntaxError, SpecValidationError
-from .exprs import ClockExpr, DelayFor, Inf, PeriodicOn, Ref, Sup
+from .exprs import ClockExpr, DelayFor, Inf, PeriodicOn, Ref, Sup, clocks_of
 from .relations import RelationKind, RelationSpec, _frozen
 
-__all__ = [
-    "Definition",
-    "SpecFile",
-    "parse",
-    "pretty_print",
-    "format_expr",
-    "format_threshold",
-    "elaborate",
-]
+__all__ = _EXPORTS["speclang"]
 
 # Bound on expression nesting, so that the recursive parser, elaborator
 # and evaluator stay far inside Python's recursion limit.  It applies
@@ -393,6 +386,7 @@ def pretty_print(spec: SpecFile) -> str:
 
 def format_expr(expr: ClockExpr) -> str:
     """Canonical concrete syntax of one expression."""
+    clocks_of(expr)  # a non-node is an ExpressionError
     if isinstance(expr, Ref):
         return expr.clock
     if isinstance(expr, PeriodicOn):
@@ -401,9 +395,7 @@ def format_expr(expr: ClockExpr) -> str:
         return f"({format_expr(expr.base)} delayfor {expr.delay} on {format_expr(expr.ref)})"
     if isinstance(expr, Inf):
         return f"inf({format_expr(expr.left)}, {format_expr(expr.right)})"
-    if isinstance(expr, Sup):
-        return f"sup({format_expr(expr.left)}, {format_expr(expr.right)})"
-    raise ValueError(f"not a clock expression: {expr!r}")
+    return f"sup({format_expr(expr.left)}, {format_expr(expr.right)})"
 
 
 def format_threshold(value: Fraction) -> str:

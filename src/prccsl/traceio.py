@@ -21,10 +21,11 @@ from operator import add
 from os import PathLike
 from typing import IO, Any, Iterable, Iterator, Union
 
+from . import _EXPORTS
 from .clocks import Trace
 from .errors import DeclarationError, TraceFormatError, bad_utf8_position
 
-__all__ = ["read_trace", "write_trace", "trace_to_string"]
+__all__ = _EXPORTS["traceio"]
 
 Source = Union[str, PathLike, IO[str]]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from prccsl import FAULT_TARGETS, AVParams, Trace, simulate, write_trace
 from prccsl.cli import main
+from prccsl.errors import bad_utf8_position
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -128,6 +129,15 @@ def test_check_invalid_utf8_exits_two_with_its_location(tmp_path, capsys):
     assert "not valid UTF-8 (line 2, column 6)" in capsys.readouterr().err
     assert main(["check", "--spec", write(tmp_path / "ok.prccsl", PASSING_SPEC), "--trace", str(trace)]) == 2
     assert "not valid UTF-8 (line 4)" in capsys.readouterr().err
+
+
+def test_bad_utf8_position_places_a_decodable_file_past_its_end(tmp_path):
+    path = tmp_path / "ok.prccsl"
+    path.write_bytes(b"")
+    assert bad_utf8_position(path) == (1, 1)
+    # the byte order mark is not counted; "\r\n" and a lone "\r" each end a line
+    path.write_bytes("\ufeffclock a\r\nrel\r\u03b4x".encode("utf-8"))
+    assert bad_utf8_position(path) == (3, 3)
 
 
 def test_check_missing_file_exits_two(tmp_path, capsys):

@@ -18,6 +18,7 @@ from prccsl import (
     UnknownClockError,
     clocks_of,
     eval_expr,
+    format_expr,
 )
 
 
@@ -49,11 +50,16 @@ _TRACE = build({"a": [0]}, 2)
         (lambda: Sup("a", "b"), "left operand is not a clock expression: 'a'"),
         (lambda: clocks_of("x"), "not a clock expression: 'x'"),
         (lambda: eval_expr("x", _TRACE), "not a clock expression: 'x'"),
+        # checked before the cache lookup, which would raise TypeError on a list
+        (lambda: eval_expr(["x"], _TRACE), "not a clock expression: ['x']"),
+        (lambda: format_expr("x"), "not a clock expression: 'x'"),
+        (lambda: format_expr(["x"]), "not a clock expression: ['x']"),
     ],
     ids=[
         "period-0", "period-float", "period-true", "period-false", "periodic-base", "delay-0",
         "delay-true", "delay-ref-first", "delay-base",
         "ref-space", "ref-int", "ref-empty", "inf-right", "sup-left", "clocks_of", "eval_expr",
+        "eval_expr-list", "format_expr", "format_expr-list",
     ],
 )
 def test_invalid_node_error_type_and_message(make, message):

@@ -255,7 +255,13 @@ def test_relation_spec_validation():
     for sample_size in (True, False, 2.5, "3", Fraction(3)):
         with pytest.raises(ValueError, match="sample size must be an int or None"):
             RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), Fraction(1, 2), sample_size)
+    # any other kind would be counted as precedence
+    for kind in ("subclock", None, RelationKind):
+        with pytest.raises(ValueError, match="kind must be a RelationKind"):
+            RelationSpec("x", kind, Ref("a"), Ref("b"), Fraction(1, 2))
     record = RelationSpec("x", RelationKind.SUBCLOCK, Ref("a"), Ref("b"), 1, 3)
+    with pytest.raises(ValueError, match="kind must be a RelationKind, got 'subclock'"):
+        record._replace(kind="subclock")
     with pytest.raises(ValueError, match="threshold must be an int or a Fraction"):
         record._replace(threshold=0.5)
     with pytest.raises(ValueError, match="sample size must be an int or None"):
