@@ -8,7 +8,11 @@ strictly before i, so h_c(0) = 0 and h_c(i+1) = h_c(i) + t_c(i).
 A trace stores each clock as its date list, the sorted steps at which
 it ticks.  The history at a clock's j-th tick (counting from 0) is then
 j, and h_c(i) is the number of dates below i, so expressions and
-relations work on these lists without visiting every step.
+relations work on these lists without visiting every step.  A clock
+that ticks on every step of a nonempty trace is stored as
+``range(length)``, and every other clock as a ``list``; both are
+read-only sequences of ints, so compare dates with ``list(...)``, since
+``range(3) != [0, 1, 2]``.
 
 The universal clock ``ms`` ticks at every step.  A trace carries it as
 an ordinary column (the simulator writes one); nothing synthesizes it,
@@ -45,11 +49,6 @@ def validate_clock_name(name: str) -> str:
     return name
 
 
-def is_run(dates: Sequence[int]) -> bool:
-    """Whether a strictly increasing date list is a nonempty run of consecutive steps."""
-    return bool(dates) and dates[-1] - dates[0] == len(dates) - 1
-
-
 class Trace:
     """A finite tick record for a fixed, ordered clock alphabet.
 
@@ -64,7 +63,7 @@ class Trace:
     __slots__ = ("_dates", "_length")
 
     def __init__(self, clocks: Sequence[str]):
-        dates: dict[str, list[int]] = {}
+        dates: dict[str, Sequence[int]] = {}
         for name in clocks:
             validate_clock_name(name)
             if name in dates:
@@ -82,7 +81,8 @@ class Trace:
         Dates outside [0, length) are ignored and repeated dates count
         once, so schedules may be generated in any order without
         worrying about the trace boundary.  Each input is read once into
-        a new sorted list, so the trace never shares the caller's lists.
+        a new sorted list, so the trace never shares the caller's lists;
+        one that then holds every step is stored as ``range(length)``.
         A clock not in ``dates`` never ticks; a name in ``dates`` that is
         not in ``clocks`` raises UnknownClockError.
         """
@@ -98,19 +98,23 @@ class Trace:
 
     @classmethod
     def _from_sorted(
-        cls, clocks: Sequence[str], length: int, dates: Mapping[str, list[int]]
+        cls, clocks: Sequence[str], length: int, dates: Mapping[str, Sequence[int]]
     ) -> "Trace":
         """The trace that stores the lists of ``dates`` themselves.
 
         Each list must already be strictly increasing inside [0, length);
         it is neither copied nor checked, and clocks given one list share
         it, so the caller hands the lists over and never changes them.
+        One as long as the trace holds every step, so it is stored as
+        ``range(length)`` (as ``[]`` in an empty trace), and the caller
+        may hand over that range instead.
         """
         trace = cls(clocks)
         for name in dates:
             if name not in trace._dates:
                 raise UnknownClockError(f"undeclared clock {name!r}")
-        trace._dates.update(dates)
+        every = range(length) if length else []
+        trace._dates.update((name, every if len(ticks) == length else ticks) for name, ticks in dates.items())
         trace._length = length
         return trace
 
@@ -124,10 +128,11 @@ class Trace:
     def __contains__(self, clock: str) -> bool:
         return clock in self._dates
 
-    def dates(self, clock: str) -> list[int]:
-        """Sorted list of the steps at which ``clock`` ticks.
+    def dates(self, clock: str) -> Sequence[int]:
+        """The sorted steps at which ``clock`` ticks.
 
-        The list is the trace's own storage: read it, do not modify it.
+        ``range(len(trace))`` for a clock that ticks on every step, else
+        a list.  It is the trace's own storage: read it, do not modify it.
         """
         try:
             return self._dates[clock]

@@ -14,7 +14,12 @@ base class checks, hashes, compares and pickles the nodes.
 
 A derived clock is computed as its date list, the sorted steps at which
 it ticks, from the date lists of its operands; no step is visited on
-its own.  Evaluation is a pure function of the input trace.
+its own.  Evaluation is a pure function of the input trace.  A trace
+stores a clock that ticks on every step as a ``range``, and the
+progressions derived from one stay ranges: ``PeriodicOn`` slices a
+range to a range, ``DelayFor`` of a range on a range of stride 1 shifts
+it, and ``Inf``/``Sup`` of two ranges that do not cross is one of them.
+Every other result is a ``list``, so compare results with ``list(...)``.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import le
-from typing import Union
+from typing import Sequence, Union
 
 from . import _EXPORTS
-from .clocks import Trace, is_run, validate_clock_name
+from .clocks import Trace, validate_clock_name
 from .errors import DeclarationError, ExpressionError
 
 __all__ = _EXPORTS["exprs"]
@@ -121,13 +126,13 @@ def clocks_of(expr: ClockExpr) -> frozenset[str]:
 def eval_expr(
     expr: ClockExpr,
     trace: Trace,
-    cache: dict[ClockExpr, list[int]] | None = None,
-) -> list[int]:
-    """Evaluate ``expr`` to the sorted date list of its derived clock.
+    cache: dict[ClockExpr, Sequence[int]] | None = None,
+) -> Sequence[int]:
+    """Evaluate ``expr`` to the sorted dates of its derived clock, a range or a list.
 
     Passing the same ``cache`` dict across calls on one trace lets
     identical sub-expressions be evaluated once and shared; evaluation
-    is pure, so sharing never changes results.  Returned lists may be
+    is pure, so sharing never changes results.  Returned dates may be
     shared with the cache and the trace: read them, do not modify them.
     Referencing a clock the trace does not declare raises
     UnknownClockError.
@@ -142,7 +147,7 @@ def eval_expr(
         case Ref(clock):
             dates = trace.dates(clock)
         case PeriodicOn(base, period):
-            # the j-th base tick has history j: keep j = 0, p, 2p, ...
+            # the j-th base tick has history j: keep j = 0, p, 2p, ... (a range stays one)
             dates = eval_expr(base, trace, cache)[::period]
         case DelayFor(base, delay, ref):
             dates = _delay_for(eval_expr(base, trace, cache), delay, eval_expr(ref, trace, cache))
@@ -153,44 +158,45 @@ def eval_expr(
             # inf's j-th tick comes with the operand that reaches it first
             # (past the shorter one the longer ticks alone), sup's waits for
             # the one that reaches it last.  When the longer operand is first
-            # at every tick (a C-level all() finds it without building a
-            # list), each is an operand as is; else merge (these
+            # at every tick, each is an operand as is: for two ranges a[j] -
+            # b[j] is linear in j, so its ends tell, and else a C-level all()
+            # finds it without building a list.  Otherwise merge (these
             # comprehensions run about 3x faster than map(min, ...))
-            if all(map(le, a, b)):
+            if isinstance(a, range) and isinstance(b, range):
+                first = not b or (a[0] <= b[0] and a[len(b) - 1] <= b[-1])
+            else:
+                first = all(map(le, a, b))
+            if first:
                 dates = a if isinstance(expr, Inf) else b
             elif isinstance(expr, Inf):
-                dates = [x if x < y else y for x, y in zip(a, b)] + a[len(b):]
+                dates = [x if x < y else y for x, y in zip(a, b)]
+                dates.extend(a[len(b):])
             else:
                 dates = [x if x > y else y for x, y in zip(a, b)]
     cache[expr] = dates
     return dates
 
 
-def _delay_for(base: list[int], delay: int, ref: list[int]) -> list[int]:
+def _delay_for(base: Sequence[int], delay: int, ref: Sequence[int]) -> Sequence[int]:
     """Map each base date to the ``delay``-th ref date strictly after it.
 
     Targets past the last ref date are dropped (pending at trace end),
     and base dates whose targets coincide give one output tick.  When
-    ref is a run first..last (like ms), a base date d >= first is due
-    at d + delay and every date before first at first + delay - 1, so
-    the output is a shifted slice of base.  When that slice steps by a
-    constant stride (a run, or a periodicon of ms), its targets are a
-    strided slice of ref, so the output holds ref's own int objects and
-    makes no new ones.
+    ref is a range first..last of stride 1 (like ms), a base date d >=
+    first is due at d + delay and every date before first at first +
+    delay - 1, so the output is a shifted slice of base: a range when
+    base is one and no date falls before first.
     """
-    if is_run(ref):
-        first, last = ref[0], ref[-1]
+    if isinstance(ref, range) and ref.step == 1:
+        first = ref.start
         start = bisect_left(base, first)
-        dates = ref[delay - 1:delay] if start else []  # first + delay - 1, if ref has delay dates
-        kept = base[start:bisect_right(base, last - delay)]
-        if not kept:
-            return dates
-        low, high = kept[0] - first, kept[-1] - first + 1  # kept's span as ref indices
-        stride = kept[1] - kept[0] if len(kept) > 1 else 1
-        if high - 1 - low == stride * (len(kept) - 1) and kept == ref[low:high:stride]:
-            dates += ref[low + delay:high + delay:stride]
+        kept = base[start:bisect_right(base, ref.stop - 1 - delay)]
+        if isinstance(kept, range):
+            dates = range(kept.start + delay, kept.stop + delay, kept.step)
         else:
-            dates += [date + delay for date in kept]
+            dates = [date + delay for date in kept]
+        if start and delay <= len(ref):  # the dates before first, due together
+            dates = [first + delay - 1, *dates]
         return dates
     # due[p] is the delay-th ref date after the first p ref dates
     due = ref[delay - 1:]

@@ -10,12 +10,16 @@ or after left[j] or right has at most j dates.  So causes counts
 sum(right[j] >= left[j]) + max(0, len(left) - len(right)), and precedes
 the same with ">", since a right tick on the date counts against it.
 Subclock, coincides and excludes count the shared dates of the lists.
-An operand that is a run a..b of consecutive dates (last date minus
-first equals length minus one) shares with the other list the dates
-between two of its bisects.  On the right of causes and precedes, a
-run a + j beats left[j] iff left[j] - j <= a, a key that never
-decreases in j, so the sum is one bisect over j; a run on the left is
-counted pair by pair, as any other list is.  The verdict is a
+Dates are a ``range`` for a clock that ticks on every step and for the
+progressions derived from one, and a ``list`` otherwise.  Two ranges
+share one progression of dates, whose stride is the lcm of theirs.  A
+list shares with a range its dates inside the range's span that are on
+its stride: all of them for stride 1, two bisects.  Two lists count
+with a set.  Of two ranges, right[j] - left[j] is linear in j, so
+causes and precedes count its sign arithmetically.  A range a + j on
+the right against a list beats left[j] iff left[j] - j <= a, a key that
+never decreases in j, so the sum is one bisect over j; every other pair
+of operands is counted pair by pair.  The verdict is a
 fixed-sample hypothesis test: the relation holds at threshold p iff
 m/k >= p, compared in exact rational arithmetic.  A monitor with a
 sample size N keeps only the first N observations in step order,
@@ -32,11 +36,13 @@ from collections import namedtuple
 from dataclasses import FrozenInstanceError
 from enum import Enum, unique
 from fractions import Fraction
-from operator import ge, gt
+from itertools import repeat
+from math import gcd
+from operator import ge, gt, mod
 from typing import Sequence, Union
 
 from . import _EXPORTS
-from .clocks import Trace, is_run
+from .clocks import Trace
 from .exprs import ClockExpr, clocks_of, eval_expr
 
 __all__ = _EXPORTS["relations"]
@@ -118,7 +124,7 @@ def check_relations(specs: Sequence[RelationSpec], trace: Trace) -> list[CheckRe
     Identical sub-expressions across relations are evaluated once.
     """
     results: list[CheckResult] = []
-    cache: dict[ClockExpr, list[int]] = {}
+    cache: dict[ClockExpr, Sequence[int]] = {}
     for spec in specs:
         missing = sorted(
             name
@@ -138,7 +144,7 @@ def check_relations(specs: Sequence[RelationSpec], trace: Trace) -> list[CheckRe
 
 
 def _count(
-    kind: RelationKind, left: list[int], right: list[int], cap: int | None
+    kind: RelationKind, left: Sequence[int], right: Sequence[int], cap: int | None
 ) -> tuple[int, int]:
     """(k, m) of one relation from its operands' date lists.
 
@@ -164,20 +170,43 @@ def _count(
     # the date counts against it
     causes = kind is RelationKind.CAUSALITY
     n = min(len(left), len(right))
-    if is_run(right):  # right[j] = a + j: left[j] - j <= a (< a)
+    if isinstance(left, range) and isinstance(right, range):
+        # right[j] - left[j] = gap + j * slope, at least 0 (at least 1)
+        gap, slope = right.start - left.start - (not causes), right.step - left.step
+        if slope > 0:  # from j = ceil(-gap / slope) on
+            beaten = n - min(n, max(0, -(gap // slope)))
+        elif slope < 0:  # up to j = floor(gap / -slope)
+            beaten = min(n, max(0, gap // -slope + 1))
+        else:
+            beaten = n if gap >= 0 else 0
+    elif isinstance(right, range) and right.step == 1:  # right[j] = a + j: left[j] - j <= a (< a)
         beaten = (bisect_right if causes else bisect_left)(
-            range(n), right[0], key=lambda j: left[j] - j
+            range(n), right.start, key=lambda j: left[j] - j
         )
     else:
         beaten = sum(map(ge if causes else gt, right, left))
     return len(left), beaten + max(0, len(left) - len(right))
 
 
-def _overlap(left: list[int], right: list[int]) -> int:
+def _overlap(left: Sequence[int], right: Sequence[int]) -> int:
     """The number of dates in both lists, without building their intersection."""
-    for run, other in ((left, right), (right, left)):
-        if is_run(run):
-            return bisect_right(other, run[-1]) - bisect_left(other, run[0])
+    if isinstance(left, range) and isinstance(right, range):
+        # left's dates inside right's span, from date a at stride s, are
+        # on right's grid (b, stride t) at the i with i * s = b - a (mod t):
+        # none unless gcd(s, t) divides b - a, else every (t / gcd)-th i
+        # from i0 on, where i0 solves (s / gcd) * i0 = (b - a) / gcd
+        span = left[bisect_left(left, right.start):bisect_left(left, right.stop)]
+        shift, g = right.start - span.start, gcd(span.step, right.step)
+        if shift % g:
+            return 0
+        cycle = right.step // g
+        return len(range(shift // g * pow(span.step // g, -1, cycle) % cycle, len(span), cycle))
+    for grid, other in ((left, right), (right, left)):
+        if isinstance(grid, range):  # other's dates in grid's span that are on its stride
+            low, high = bisect_left(other, grid.start), bisect_left(other, grid.stop)
+            if grid.step == 1:
+                return high - low
+            return list(map(mod, other[low:high], repeat(grid.step))).count(grid.start % grid.step)
     few, many = sorted((left, right), key=len)
     rest = set(few)
     rest.difference_update(many)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import _EXPORTS
-from .relations import CheckResult, RelationError, Verdict
+from .relations import CheckResult, RelationError
 
 __all__ = _EXPORTS["report"]
 

@@ -262,7 +262,7 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         for i, port in enumerate(names):  # drawn trigger-major, port-minor
             dates[port] = monotone(list(map(add, anchors, offsets[i :: len(names)])))
 
-    dates[UNIVERSAL_CLOCK] = list(range(n))
+    dates[UNIVERSAL_CLOCK] = range(n)  # the trace's form of a clock that ticks on every step
     dates["signTrig"] = periodic(_SIGNREC_PERIOD, "periodic-R2")
     dates["obsDetect"] = periodic(_OBSTACLE_PERIOD, "periodic-R3")
     dates["spUpdate"] = periodic(_SPEED_PERIOD, "periodic-R4")

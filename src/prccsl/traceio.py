@@ -103,11 +103,14 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
     too, ends at "\n", "\r" or "\r\n", whatever the stream's own line
     splitting.  The body is read in the segments ``write_trace`` writes,
     as bytes: from a path's binary buffer, or ASCII-encoded from a text
-    stream.  A segment is canonical when it is ASCII, has its
-    ``_blank``'s step digits and equals the blank once "1" reads "0";
-    each column's ticks then come from its strided slice, and columns
-    ticking on more than one row in 16 take their dates from one list of
-    the segment's steps, so they share its int objects.  From the first
+    stream.  A segment is canonical when it is ASCII, has the step
+    digits ``write_trace`` gives its rows and, once "1" reads "0",
+    equals a template of rows of "0" cells kept per digit count and row
+    count, into which only the step digits are written.  Each column's
+    ticks then come from its strided slice, and columns ticking on more
+    than one row in 16 take their dates from one list of the segment's
+    steps, so they share its int objects.  A column that ticks on every
+    row gets no list at all: it is ``range(steps)``.  From the first
     segment that is not canonical, every line goes through
     ``csv.reader`` (a path is read on as text from that segment's first
     byte), which handles quoting and CRLF line ends and raises every
@@ -145,7 +148,9 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
             read = handle.buffer.read
         wanted = set(header if clocks is None else clocks)
         dates: dict[str, list[int]] = {name: [] for name in header if name in wanted}
-        columns = [(index, dates[name]) for index, name in enumerate(header) if name in dates]
+        columns = [(index, name, dates[name]) for index, name in enumerate(header) if name in dates]
+        full = set(dates)  # the kept clocks that ticked on every row so far; their lists wait empty
+        templates: dict[tuple[int, int], bytearray] = {}  # (digits, rows) -> rows of "0" cells
         step = 0
         while True:
             digits = len(str(step))
@@ -159,11 +164,19 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
             if not seg:
                 break
             rows = len(seg) // width
-            blank = _blank(step, step + rows, len(header))
-            if (  # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
-                any(seg[pos::width] != blank[pos::width] for pos in range(digits))
-                or seg.replace(b"1", b"0") != blank.replace(b"1", b"0")
-            ):
+            template = templates.get((digits, rows))
+            if template is None:
+                template = templates[digits, rows] = bytearray((b"0" * digits + b",0" * len(header) + b"\n") * rows)
+            canonical = True
+            for pos in range(digits):  # the step digits as they are, and in the template with "1" as "0"
+                digit = _digit_column(step, step + rows, 10 ** (digits - 1 - pos))
+                canonical = canonical and seg[pos::width] == digit
+                template[pos::width] = digit.replace(b"1", b"0")
+            # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
+            if not canonical or seg.replace(b"1", b"0") != template:
+                for name in full:  # they ticked on every row before this segment
+                    dates[name].extend(range(step))
+                full.clear()
                 if read is not None:  # go on as text from the segment's first byte:
                     # a segment starts a line, where the decoder holds no state,
                     # so the byte offset is the text handle's own seek cookie
@@ -174,14 +187,19 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                 lines = (io.StringIO(chunk + handle.readline(), newline="") for chunk in chunks)
                 reader = csv.reader(chain.from_iterable(lines))
                 try:
-                    step = _read_rows(reader, step, offset, len(header), columns)
+                    step = _read_rows(reader, step, offset, len(header), [(i, ticks) for i, _, ticks in columns])
                 except csv.Error as exc:
                     raise TraceFormatError(str(exc), offset + reader.line_num) from None
                 break
             steps: list[int] = []  # the segment's steps, made once for the dense columns
-            for index, ticks in columns:
+            for index, name, ticks in columns:
                 cells = seg[digits + 1 + 2 * index::width]
                 ones = cells.count(b"1")
+                if name in full:
+                    if ones == rows:
+                        continue
+                    full.remove(name)
+                    ticks.extend(range(step))
                 if 16 * ones > rows:
                     steps = steps or list(range(step, step + rows))
                     ticks.extend(steps if ones == rows else compress(steps, cells.translate(_CELL_BITS)))
@@ -189,6 +207,7 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                     gaps = map(len, cells.split(b"1"))
                     ticks.extend(map(add, accumulate(gaps), range(step, step + ones)))
             step += rows
+    dates.update(dict.fromkeys(full, range(step)))  # _from_sorted makes a list of every step one too
     return Trace._from_sorted(list(dates), step, dates)
 
 

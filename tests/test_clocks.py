@@ -103,4 +103,4 @@ def test_from_dates_sorts_dedupes_clips_and_copies():
 @given(st.integers(0, 20), st.lists(st.integers(-5, 25), max_size=20))
 def test_from_dates_keeps_each_in_range_date_once_in_order(length, steps):
     t = Trace.from_dates(["a"], length, {"a": steps})
-    assert t.dates("a") == sorted({s for s in steps if 0 <= s < length})
+    assert list(t.dates("a")) == sorted({s for s in steps if 0 <= s < length})

@@ -25,6 +25,7 @@ from prccsl import (
     eval_expr,
 )
 from prccsl.oracle import oracle_expr, oracle_relation
+from prccsl.relations import _count
 
 CLOCKS = ("a", "b", "c")
 
@@ -93,7 +94,7 @@ def test_monitor_counts_match_oracle(tn, kind, cap):
 def test_expression_dates_match_oracle(tn, expr):
     trace, n = tn
     expected = oracle_expr(expr, {c: trace.dates(c) for c in CLOCKS}, n)
-    assert eval_expr(expr, trace) == expected
+    assert list(eval_expr(expr, trace)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,3 +207,86 @@ def test_delay_for_on_run_ref_and_non_progression_base_matches_oracle(base):
     for delay in (1, 2, 5):
         expr = DelayFor(Ref("base"), delay, Ref("ref"))
         assert eval_expr(expr, trace) == oracle_expr(expr, dates, n)
+
+
+# A trace holds a clock that ticks on every step as a range, and the
+# progressions derived from one stay ranges.  Each pair is two
+# (start, stop, step) ranges over RANGE_N steps; the monitors count them
+# in closed form, and each against the other as a list by its paths for
+# a range against a list.
+RANGE_N = 60
+RANGE_PAIRS = {
+    "coprime": ((0, 60, 3), (1, 60, 4)),
+    "coprime-offset-spans": ((2, 50, 5), (7, 60, 3)),
+    "one-divides": ((0, 60, 2), (4, 40, 6)),
+    "one-divides-never-meet": ((1, 60, 2), (0, 60, 4)),
+    "offsets-never-meet": ((0, 60, 4), (1, 60, 6)),
+    "disjoint-spans": ((0, 20, 1), (30, 60, 3)),
+    "same": ((5, 55, 5), (5, 55, 5)),
+    "run-and-strided": ((10, 40, 1), (0, 60, 7)),
+    "single-date-on-grid": ((17, 18, 1), (2, 60, 5)),
+    "single-date-off-grid": ((18, 19, 9), (2, 60, 5)),
+    "single-dates": ((18, 19, 9), (18, 19, 4)),
+    "empty": ((30, 30, 1), (0, 60, 2)),
+    "both-empty": ((5, 5, 3), (9, 9, 2)),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 7])
+@pytest.mark.parametrize("kind", list(RelationKind))
+@pytest.mark.parametrize("pair", list(RANGE_PAIRS))
+def test_monitors_of_ranges_match_oracle(pair, kind, cap):
+    a, b = (range(*spec) for spec in RANGE_PAIRS[pair])
+    for left, right in ((a, b), (b, a)):
+        expected = oracle_relation(kind, list(left), list(right), RANGE_N, cap=cap)
+        for operands in ((left, right), (list(left), right), (left, list(right))):
+            assert _count(kind, *operands, cap) == expected
+
+
+def progression(start, step):
+    """Every ``step``-th step from ``start`` on, as an expression over ms."""
+    every = PeriodicOn(Ref("ms"), step)
+    return DelayFor(every, start, Ref("ms")) if start else every
+
+
+# (start, step) of the two operands, and whether inf and sup are one of
+# them as it is, a range: the longer one (the left one if both are as
+# long) must be at or before the other at each of the other's ticks
+PROGRESSION_PAIRS = {
+    "longer-first": ((0, 2), (0, 3), True),
+    "longer-first-offset": ((1, 2), (6, 3), True),
+    "equal": ((4, 3), (4, 3), True),
+    "one-empty": ((0, 4), (RANGE_N + 1, 2), True),
+    "shorter-first": ((0, 5), (33, 2), False),
+    "crossing": ((12, 2), (0, 3), False),
+    "crossing-back": ((0, 3), (5, 2), False),
+    "crossing-at-the-end": ((2, 3), (20, 2), False),
+}
+
+
+@pytest.mark.parametrize("node", [Inf, Sup])
+@pytest.mark.parametrize("pair", list(PROGRESSION_PAIRS))
+def test_inf_sup_of_ranges_match_oracle(pair, node):
+    trace = Trace.from_dates(("ms",), RANGE_N, {"ms": range(RANGE_N)})
+    *specs, operand = PROGRESSION_PAIRS[pair]
+    left, right = (progression(*spec) for spec in specs)
+    assert all(type(eval_expr(side, trace)) is range for side in (left, right))
+    for expr in (node(left, right), node(right, left)):
+        out = eval_expr(expr, trace)
+        assert list(out) == oracle_expr(expr, {"ms": range(RANGE_N)}, RANGE_N)
+        assert (type(out) is range) == operand
+
+
+@pytest.mark.parametrize("delay", [1, 2, 7])
+@pytest.mark.parametrize("base", [(0, 1), (0, 2), (3, 5), (0, RANGE_N)])
+@pytest.mark.parametrize("ref", [(0, 1), (1, 1), (5, 1), (RANGE_N - 7, 1), (0, 2)])
+def test_delay_for_of_ranges_matches_oracle(ref, base, delay):
+    # a range base on a range ref of stride 1 shifts to a range, unless
+    # base dates before ref's first collapse onto one tick in front (ref's
+    # last, when ref has delay dates)
+    trace = Trace.from_dates(("ms",), RANGE_N, {"ms": range(RANGE_N)})
+    expr = DelayFor(progression(*base), delay, progression(*ref))
+    out = eval_expr(expr, trace)
+    assert list(out) == oracle_expr(expr, {"ms": range(RANGE_N)}, RANGE_N)
+    if ref[1] == 1 and base[0] >= ref[0]:
+        assert type(out) is range

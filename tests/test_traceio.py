@@ -95,7 +95,7 @@ def test_crlf_input_accepted(tmp_path):
         path.write_bytes(text.encode("utf-8"))
         for source in (io.StringIO(text), path):
             back = read_trace(source)
-            assert back.dates("a") == [0]
+            assert list(back.dates("a")) == [0]
             assert trace_to_string(back) == "step,a\n0,1\n"
 
 
@@ -297,7 +297,7 @@ def outcome(source, clocks=None):
         trace = read_trace(source, clocks=clocks)
     except TraceFormatError as exc:
         return str(exc), exc.line
-    return trace.clocks, len(trace), {name: trace.dates(name) for name in trace.clocks}
+    return trace.clocks, len(trace), {name: list(trace.dates(name)) for name in trace.clocks}
 
 
 @settings(max_examples=400, deadline=None)
@@ -348,13 +348,62 @@ def test_projection_rejects_one_str():
 
 def test_dense_columns_share_the_segment_step_ints():
     # a and b tick on more than one row in 16, so both take their dates
-    # from one list of the segment's steps: the same int objects as ms
+    # from one list of the segment's steps, and share its int objects
+    # with each other (dates above 256 are not cached ints, so `is`
+    # tells); ms ticks on every row, so it holds no ints at all
     steps = 3000
     dates = {"ms": range(steps), "a": range(0, steps, 2), "b": range(0, steps, 3)}
     text = trace_to_string(Trace.from_dates(list(dates), steps, dates))
     back = read_trace(io.StringIO(text))
-    ms = back.dates("ms")
-    assert all(date is ms[date] for name in ("a", "b") for date in back.dates(name))
+    a = {date: date for date in back.dates("a")}
+    shared = [date for date in back.dates("b") if date in a]
+    assert len(shared) == 500 and all(a[date] is date for date in shared)
+    assert back.dates("ms") == range(steps)
+
+
+def sources(tmp_path, text):
+    """A path to ``text`` and a text stream of it."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return [path, io.StringIO(text)]
+
+
+@pytest.mark.parametrize("rows", [3, _BLOCK_ROWS])
+@pytest.mark.parametrize("crlf", [None, 2, 700], ids=["canonical", "crlf", "crlf-from-line-700"])
+@pytest.mark.parametrize("clocks", [None, ["b", "ms"]], ids=["all", "projected"])
+def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, crlf, rows):
+    # ms ticks on every row: a range from a path and from a stream, on the
+    # canonical path and after the csv.reader fallback; a and b stay lists
+    steps = 1001
+    text = trace_to_string(block_trace(steps))
+    if crlf is not None:
+        lines = text.split("\n")
+        text = "\n".join(lines[: crlf - 1] + [line + "\r" for line in lines[crlf - 1:-1]] + [""])
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        for source in sources(tmp_path, text):
+            back = read_trace(source, clocks)
+            assert type(back.dates("ms")) is range and back.dates("ms") == range(steps)
+            assert type(back.dates("b")) is list and back.dates("b") == [5]
+
+
+@pytest.mark.parametrize("rows", [3, _BLOCK_ROWS])
+@pytest.mark.parametrize("crlf", [False, True], ids=["canonical", "crlf"])
+@pytest.mark.parametrize("silent", [1, 2, 500, 1001])
+def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, crlf, rows):
+    # ms ticks on every row but step ``silent - 1``, so it is a list, at
+    # the first row, in the first segment, in a middle one or the last
+    steps = 1001
+    text = trace_to_string(block_trace(steps))
+    line = silent + 1
+    index, _, rest = text.split("\n")[line - 1].split(",", 2)
+    text = edit_line(text, line, f"{index},0,{rest}")
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    expected = [step for step in range(steps) if step != silent - 1]
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        for source in sources(tmp_path, text):
+            back = read_trace(source, ["ms"])
+            assert type(back.dates("ms")) is list and back.dates("ms") == expected
 
 
 @pytest.mark.parametrize("rows", [7, _BLOCK_ROWS])
