@@ -194,7 +194,7 @@ def _overlap(left: Sequence[int], right: Sequence[int]) -> int:
         # left's dates inside right's span, from date a at stride s, are
         # on right's grid (b, stride t) at the i with i * s = b - a (mod t):
         # none unless gcd(s, t) divides b - a, else every (t / gcd)-th i
-        # from i0 on, where i0 solves (s / gcd) * i0 = (b - a) / gcd
+        # from the i0 with (s / gcd) * i0 = (b - a) / gcd (mod t / gcd)
         span = left[bisect_left(left, right.start):bisect_left(left, right.stop)]
         shift, g = right.start - span.start, gcd(span.step, right.step)
         if shift % g:
