@@ -158,11 +158,11 @@ def eval_expr(
             # inf's j-th tick comes with the operand that reaches it first
             # (past the shorter one the longer ticks alone), sup's waits for
             # the one that reaches it last.  When the longer operand is first
-            # at every tick, each is an operand as is: for two ranges a[j] -
-            # b[j] is linear in j, so its ends tell, and else a C-level all()
-            # finds it without building a list.  Otherwise merge (these
+            # at every tick, each is an operand as is: when b[j] - a[j] is
+            # monotone its ends tell, and else a C-level all() finds it
+            # without building a list.  Otherwise merge (these
             # comprehensions run about 3x faster than map(min, ...))
-            if isinstance(a, range) and isinstance(b, range):
+            if _monotone(a, b):
                 first = not b or (a[0] <= b[0] and a[len(b) - 1] <= b[-1])
             else:
                 first = all(map(le, a, b))
@@ -175,6 +175,15 @@ def eval_expr(
                 dates = [x if x > y else y for x, y in zip(a, b)]
     cache[expr] = dates
     return dates
+
+
+def _monotone(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether b[j] - a[j] is monotone in j, so that its sign changes at most once.
+
+    It is linear for two ranges, and a range of stride 1 rises by
+    exactly 1 per j where any date list rises by at least 1.
+    """
+    return isinstance(a, range) and (isinstance(b, range) or a.step == 1) or isinstance(b, range) and b.step == 1
 
 
 def _delay_for(base: Sequence[int], delay: int, ref: Sequence[int]) -> Sequence[int]:

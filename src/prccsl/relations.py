@@ -15,15 +15,15 @@ progressions derived from one, and a ``list`` otherwise.  Two ranges
 share one progression of dates, whose stride is the lcm of theirs.  A
 list shares with a range its dates inside the range's span that are on
 its stride: all of them for stride 1, two bisects.  Two lists count
-with a set.  Of two ranges, right[j] - left[j] is linear in j, so
-causes and precedes count its sign arithmetically.  A range a + j on
-the right against a list beats left[j] iff left[j] - j <= a, a key that
-never decreases in j, so the sum is one bisect over j; every other pair
-of operands is counted pair by pair.  The verdict is a
-fixed-sample hypothesis test: the relation holds at threshold p iff
-m/k >= p, compared in exact rational arithmetic.  A monitor with a
-sample size N keeps only the first N observations in step order,
-freezing its verdict once k reaches N.
+with a set.  When either operand is a range of stride 1, or both are
+ranges, right[j] - left[j] is monotone in j, so the j that beat left[j]
+are a prefix or a suffix of them: causes and precedes find its end with
+one bisect, and count every other pair of operands pair by pair.
+
+The verdict is a fixed-sample hypothesis test: the relation holds at
+threshold p iff m/k >= p, compared in exact rational arithmetic.  A
+monitor with a sample size N keeps only the first N observations in
+step order, freezing its verdict once k reaches N.
 
 RelationSpec, Verdict and RelationError are named tuples whose
 assignment raises FrozenInstanceError, as a frozen dataclass's does.
@@ -43,7 +43,7 @@ from typing import Sequence, Union
 
 from . import _EXPORTS
 from .clocks import Trace
-from .exprs import ClockExpr, clocks_of, eval_expr
+from .exprs import ClockExpr, _monotone, clocks_of, eval_expr
 
 __all__ = _EXPORTS["relations"]
 
@@ -168,23 +168,14 @@ def _count(
     # h2 <= j iff right has at most j dates or right[j] is at or after
     # left[j]; precedes needs it strictly after, since a right tick on
     # the date counts against it
-    causes = kind is RelationKind.CAUSALITY
+    beats = ge if kind is RelationKind.CAUSALITY else gt
     n = min(len(left), len(right))
-    if isinstance(left, range) and isinstance(right, range):
-        # right[j] - left[j] = gap + j * slope, at least 0 (at least 1)
-        gap, slope = right.start - left.start - (not causes), right.step - left.step
-        if slope > 0:  # from j = ceil(-gap / slope) on
-            beaten = n - min(n, max(0, -(gap // slope)))
-        elif slope < 0:  # up to j = floor(gap / -slope)
-            beaten = min(n, max(0, gap // -slope + 1))
-        else:
-            beaten = n if gap >= 0 else 0
-    elif isinstance(right, range) and right.step == 1:  # right[j] = a + j: left[j] - j <= a (< a)
-        beaten = (bisect_right if causes else bisect_left)(
-            range(n), right.start, key=lambda j: left[j] - j
-        )
+    if _monotone(left, right):  # the j beaten are a prefix or a suffix of range(n)
+        head = n > 0 and beats(right[0], left[0])
+        edge = bisect_left(range(n), True, key=lambda j: beats(right[j], left[j]) is not head)
+        beaten = edge if head else n - edge
     else:
-        beaten = sum(map(ge if causes else gt, right, left))
+        beaten = sum(map(beats, right, left))
     return len(left), beaten + max(0, len(left) - len(right))
 
 

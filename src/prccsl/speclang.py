@@ -106,42 +106,40 @@ class SpecFile(namedtuple("SpecFile", "clocks definitions relations steps sample
 # type is "kw" | "ident" | "number" | "sym" | "eof".  Keywords are stored
 # lower-cased and reserved, so no identifier, number or eof token has the
 # text of a keyword or symbol: the text alone identifies those tokens.
-_Token = namedtuple("_Token", "type text line column")
+# start is the token's offset in the text; only an error needs its line.
+_Token = namedtuple("_Token", "type text start")
 
 
-# every character matches one alternative, so finditer scans the whole text
+# blanks and comments go before each token; the scan ends at an eof token
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<number>[0-9]+(?:\.[0-9]+)?)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>>=|[(),:=])
-      | (?P<bad>.)
+    r"""(?:[ \t\r\n]+|\#[^\n]*)*
+      (?: (?P<number>[0-9]+(?:\.[0-9]+)?)
+        | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<sym>>=|[(),:=])
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )
     """,
     re.VERBOSE,
 )
 
 
+def _position(text: str, start: int) -> tuple[int, int]:
+    """The 1-based (line, column) of offset ``start``; columns count characters."""
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
-        kind, value = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
-        if kind == "nl":
-            line, line_start = line + 1, match.end()
-        elif kind == "bad":
-            raise SpecSyntaxError(f"unexpected character {value!r}", line, column)
-        elif kind == "word":
+        kind = match.lastgroup
+        value, start = match[kind], match.start(kind)
+        if kind == "bad":
+            raise SpecSyntaxError(f"unexpected character {value!r}", *_position(text, start))
+        if kind == "word":
             lowered = value.lower()
-            if lowered in KEYWORDS:
-                tokens.append(_Token("kw", lowered, line, column))
-            else:
-                tokens.append(_Token("ident", value, line, column))
-        elif kind in ("number", "sym"):
-            tokens.append(_Token(kind, value, line, column))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+            kind, value = ("kw", lowered) if lowered in KEYWORDS else ("ident", value)
+        tokens.append(_Token(kind, value, start))
     return tokens
 
 
@@ -150,6 +148,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         # flat namespace: name -> node depth of its deepest leaf once
@@ -173,7 +172,7 @@ class _Parser:
 
     def fail(self, message: str, token: _Token, error: type = SpecSyntaxError):
         # from None: an error raised while handling a ValueError hides it
-        raise error(message, token.line, token.column) from None
+        raise error(message, *_position(self.text, token.start)) from None
 
     def expect(self, text: str) -> _Token:
         """Consume the keyword or symbol ``text``."""

@@ -30,6 +30,7 @@ __all__ = _EXPORTS["traceio"]
 Source = Union[str, PathLike, IO[str]]
 
 _BLOCK_ROWS = 8192  # rows rendered per write or checked per read; bounds buffers
+_BLOCK_BYTES = 1 << 20  # and so do bytes, however wide the rows
 _CELL_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -48,11 +49,12 @@ def _opened(target: Source, mode: str) -> Iterator[IO[str]]:
 def write_trace(trace: Trace, sink: Source) -> None:
     """Write ``trace`` as canonical CSV to a path or text stream.
 
-    Rows go out in segments of at most ``_BLOCK_ROWS`` rows that never
-    cross a power of ten, so all rows of a segment have one width.  Each
-    segment starts as its ``_blank``, the layout ``read_trace`` checks
-    input against; a clock ticking on every row is one strided "1"
-    assignment, other ticks are set a byte each.
+    Rows go out in segments of at most ``_BLOCK_ROWS`` rows and
+    ``_BLOCK_BYTES`` bytes (or one row) that never cross a power of ten,
+    so all rows of a segment have one width.  Each segment starts as its
+    ``_blank``, the layout ``read_trace`` checks input against; a clock
+    ticking on every row is one strided "1" assignment, other ticks are
+    set a byte each.
     """
     clocks = trace.clocks
     with _opened(sink, "w") as out:
@@ -60,8 +62,8 @@ def write_trace(trace: Trace, sink: Source) -> None:
         start = 0
         while start < len(trace):
             digits = len(str(start))
-            stop = min(start + _BLOCK_ROWS, len(trace), 10**digits)
             width = digits + 2 * len(clocks) + 1  # the step, ",0" per clock, "\n"
+            stop = min(start + min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // width)), len(trace), 10**digits)
             cells = _blank(start, stop, len(clocks))
             for offset, dates in zip(range(digits + 1, width, 2), map(trace.dates, clocks)):
                 lo, hi = bisect_left(dates, start), bisect_left(dates, stop)
@@ -155,7 +157,7 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
         while True:
             digits = len(str(step))
             width = digits + 2 * len(header) + 1
-            size = (min(step + _BLOCK_ROWS, 10**digits) - step) * width
+            size = (min(step + min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // width)), 10**digits) - step) * width
             if read is None:
                 text = handle.read(size)
                 seg = text.encode("ascii", "replace")  # other text is not canonical

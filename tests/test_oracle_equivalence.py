@@ -243,6 +243,27 @@ def test_monitors_of_ranges_match_oracle(pair, kind, cap):
             assert _count(kind, *operands, cap) == expected
 
 
+# a run of consecutive steps against scattered dates that are no
+# progression: right[j] - left[j] is monotone in j, on either side;
+# against a range of stride 3 it is not, and goes up and down
+SCATTERED = [3, 4, 9, 10, 11, 30]
+RUNS = {
+    "whole": range(RANGE_N),
+    "inside": range(5, 40),
+    "empty": range(20, 20),
+    "strided": range(0, RANGE_N, 3),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 7])
+@pytest.mark.parametrize("kind", [RelationKind.CAUSALITY, RelationKind.PRECEDENCE])
+@pytest.mark.parametrize("run", list(RUNS))
+def test_a_run_against_scattered_dates_matches_oracle(run, kind, cap):
+    for left, right in ((RUNS[run], SCATTERED), (SCATTERED, RUNS[run])):
+        expected = oracle_relation(kind, list(left), list(right), RANGE_N, cap=cap)
+        assert _count(kind, left, right, cap) == expected
+
+
 def progression(start, step):
     """Every ``step``-th step from ``start`` on, as an expression over ms."""
     every = PeriodicOn(Ref("ms"), step)
@@ -290,3 +311,27 @@ def test_delay_for_of_ranges_matches_oracle(ref, base, delay):
     assert list(out) == oracle_expr(expr, {"ms": range(RANGE_N)}, RANGE_N)
     if ref[1] == 1 and base[0] >= ref[0]:
         assert type(out) is range
+
+
+# the run from ``start`` on (a range), and whether it is first at each
+# tick of the scattered dates
+SCATTERED_INF_SUP = {
+    "run-dominates": (0, True),
+    "dates-dominate": (55, False),
+    "crossing": (5, None),
+}
+
+
+@pytest.mark.parametrize("node", [Inf, Sup])
+@pytest.mark.parametrize("case", list(SCATTERED_INF_SUP))
+def test_inf_sup_of_a_run_and_scattered_dates_match_oracle(case, node):
+    start, run_first = SCATTERED_INF_SUP[case]
+    columns = {"ms": range(RANGE_N), "dots": SCATTERED}
+    trace = Trace.from_dates(list(columns), RANGE_N, columns)
+    run = progression(start, 1)
+    assert eval_expr(run, trace) == range(start, RANGE_N)
+    for expr in (node(run, Ref("dots")), node(Ref("dots"), run)):
+        out = eval_expr(expr, trace)
+        assert list(out) == oracle_expr(expr, columns, RANGE_N)
+        if run_first is not None:  # the operand first at every tick is inf, the other sup
+            assert (type(out) is range) == (run_first == (node is Inf))

@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -479,3 +480,31 @@ def test_path_and_stream_reads_agree_with_and_without_projection(text, clocks):
                 assert outcome(path) == full
                 assert outcome(path, clocks) == restricted(full, clocks)
                 assert outcome(io.StringIO(text), clocks) == restricted(full, clocks)
+
+
+def test_segments_of_a_wide_trace_are_bounded_by_bytes(tmp_path):
+    # 2000 clocks make a row about 4 kB wide, so 8192 rows would be a
+    # 32 MB segment; reading one clock must hold about 1 MiB at a time
+    names = [f"c{i}" for i in range(2000)]
+    dates = {name: sorted({(7 * i + 611 * k) % 3000 for k in range(5)}) for i, name in enumerate(names)}
+    original = Trace.from_dates(names, 3000, dates)
+    path = tmp_path / "wide.csv"
+    write_trace(original, path)
+    tracemalloc.start()
+    try:
+        back = read_trace(path, clocks={"c0"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.dates("c0") == dates["c0"]
+    assert peak < 8 << 20, f"peak {peak} bytes"
+    # one row per segment, over the first 120 steps (both digit-count
+    # boundaries): all 3000 would take seconds, 2000 clocks at a time
+    head = {name: [date for date in dates[name] if date < 120] for name in names}
+    short = Trace.from_dates(names, 120, head)
+    write_trace(short, path)
+    with mock.patch.object(traceio, "_BLOCK_BYTES", 4096):
+        write_trace(short, tmp_path / "small.csv")
+        assert (tmp_path / "small.csv").read_bytes() == path.read_bytes()
+        back = read_trace(tmp_path / "small.csv")
+    assert [back.dates(name) for name in names] == [head[name] for name in names]
