@@ -269,6 +269,11 @@ def test_verify_av_bad_threshold():
         main(["verify-av", "--threshold", "1.5"])
     with pytest.raises(SystemExit):
         main(["verify-av", "--threshold", "abc"])
+    # only the spec's "prob >=" literal: no exponent (Fraction alone would
+    # take this one, check the whole trace, then fail to print it), no ratio
+    for text in ("1e-5000", "1/2"):
+        with pytest.raises(SystemExit):
+            main(["verify-av", "--steps", "100", "--threshold", text])
 
 
 def test_bad_parameter_values_exit_two(tmp_path, capsys):

@@ -79,6 +79,10 @@ def test_empty_trace_round_trip():
         ("step,a\n0,2\n", 2, "must be 0 or 1"),
         ("step,a\n0, 1\n", 2, "must be 0 or 1"),
         ("step,a\n0,\n", 2, "must be 0 or 1"),
+        # three fields each, rendered as "0,0,1,", "0,00," and "0,0\n,1"
+        ('step,a,b\n0,"0,1",\n', 2, "must be 0 or 1"),
+        ("step,a,b\n0,00,\n", 2, "must be 0 or 1"),
+        ('step,a,b\n0,"0\n",1\n', 3, "must be 0 or 1"),  # the record ends on line 3
         pytest.param("step,ms,a\n0,1," + "x" * 200000 + "\n", 2, "field limit", id="over-long-field"),
         pytest.param("step," + "x" * 200000 + "\n0,1\n", 1, "field limit", id="over-long-header-field"),
     ],
@@ -508,3 +512,22 @@ def test_segments_of_a_wide_trace_are_bounded_by_bytes(tmp_path):
         assert (tmp_path / "small.csv").read_bytes() == path.read_bytes()
         back = read_trace(tmp_path / "small.csv")
     assert [back.dates(name) for name in names] == [head[name] for name in names]
+
+
+def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path):
+    # CRLF sends every row through csv.reader; a clock ticking on every
+    # row must not become a list of every step on the way
+    steps = 100_000
+    original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(trace_to_string(original).replace("\n", "\r\n").encode("ascii"))
+    for clocks in ({"ms"}, None):
+        tracemalloc.start()
+        try:
+            back = read_trace(path, clocks=clocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(back.dates("ms"), range) and len(back) == steps
+        assert peak < 3 << 20, f"peak {peak} bytes"
+    assert back.dates("a") == original.dates("a")
