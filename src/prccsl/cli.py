@@ -2,7 +2,9 @@
 
 Three subcommands: check a spec against a trace CSV, simulate the
 vehicle model to a trace CSV, and verify-av which simulates and checks
-the bundled requirement corpus in one go.
+the bundled requirement corpus in one go.  check and verify-av report
+through one function, ``_check``, which serializes the JSON report once,
+so ``--out`` holds the very text that ``--format json`` prints.
 
 Exit codes: 0 when every checked relation is valid or vacuous, 1 when
 any relation fails its threshold, 2 on usage, parse, trace-format, or
@@ -26,6 +28,8 @@ from .errors import PrccslError
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .clocks import Trace
+    from .relations import RelationSpec
     from .simulator import FaultSpec
 
 __all__ = ["main"]
@@ -93,20 +97,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict[str, Any], args: argparse.Namespace) -> int:
-    """Write ``report`` as ``args`` ask and return the exit status it calls for."""
-    import json
+def _simulate(seed: int, steps: int, fault: FaultSpec | None) -> Trace:
+    """The vehicle model's trace for ``seed`` and ``steps``, with ``fault`` if given."""
+    from .simulator import AVParams, simulate, simulate_faulty
 
+    params = AVParams(seed=seed, steps=steps)
+    return simulate(params) if fault is None else simulate_faulty(params, fault)
+
+
+def _check(
+    args: argparse.Namespace, started: float, spec_label: str, relations: Sequence[RelationSpec],
+    trace: Trace, trace_info: dict[str, Any], settings: dict[str, Any],
+) -> int:
+    """Check ``relations`` on ``trace``, report as ``args`` ask, and return the exit status."""
+    from .relations import check_relations
+    from .report import build_report, render_text
+
+    results = check_relations(relations, trace)
+    report = build_report(spec=spec_label, trace=trace_info, settings=settings, results=results,
+                          duration_seconds=time.perf_counter() - started)
+    if args.out or args.format == "json":  # serialized once for both
+        import json
+
+        text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        from .report import render_text
-
-        print(render_text(report), end="")
+            handle.write(text)
+    print(render_text(report) if args.format == "text" else text, end="")
     summary = report["summary"]
     return 2 if summary["error"] else 1 if summary["fail"] else 0
 
@@ -114,8 +131,6 @@ def _emit(report: dict[str, Any], args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from .errors import SpecSyntaxError, bad_utf8_position
     from .exprs import clocks_of
-    from .relations import check_relations
-    from .report import build_report
     from .speclang import elaborate, parse
     from .traceio import read_trace
 
@@ -134,25 +149,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # every cell is still validated; only the clocks the relations name get date lists
     named = set().union(*(clocks_of(rel.left) | clocks_of(rel.right) for rel in relations))
     trace = read_trace(args.trace, clocks=named)
-    report = build_report(
-        spec=args.spec,
-        trace={"path": args.trace, "steps": len(trace)},
-        settings={"steps": spec.steps, "samples": spec.samples},
-        results=check_relations(relations, trace),
-        duration_seconds=time.perf_counter() - started,
-    )
-    return _emit(report, args)
+    trace_info = {"path": args.trace, "steps": len(trace)}
+    settings = {"steps": spec.steps, "samples": spec.samples}
+    return _check(args, started, args.spec, relations, trace, trace_info, settings)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulator import AVParams, simulate, simulate_faulty
     from .traceio import write_trace
 
-    params = AVParams(seed=args.seed, steps=args.steps)
-    if args.fault is None:
-        trace = simulate(params)
-    else:
-        trace = simulate_faulty(params, args.fault)
+    trace = _simulate(args.seed, args.steps, args.fault)
     write_trace(trace, args.out)
     print(f"wrote {len(trace)} steps x {len(trace.clocks)} clocks to {args.out}")
     for clock in trace.clocks:
@@ -163,9 +168,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify_av(args: argparse.Namespace) -> int:
     from importlib import resources
 
-    from .relations import check_relations
-    from .report import build_report
-    from .simulator import AVParams, simulate, simulate_faulty
     from .speclang import elaborate, parse
 
     started = time.perf_counter()
@@ -174,24 +176,13 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
     _, relations = elaborate(spec)
     if args.threshold is not None:
         relations = [rel._replace(threshold=args.threshold) for rel in relations]
-    steps = args.steps
-    if steps is None:
-        steps = spec.steps if spec.steps is not None else _DEFAULT_STEPS
-    params = AVParams(seed=args.seed, steps=steps)
-    trace = simulate(params) if args.fault is None else simulate_faulty(params, args.fault)
+    steps = next(n for n in (args.steps, spec.steps, _DEFAULT_STEPS) if n is not None)
+    trace = _simulate(args.seed, steps, args.fault)
     fault = None if args.fault is None else f"{args.fault.target}:{args.fault.rate}"
-    report = build_report(
-        spec=f"{_BUNDLED_SPEC} (bundled)",
-        trace={"seed": args.seed, "steps": steps, "fault": fault},
-        settings={
-            "steps": steps,
-            "samples": spec.samples,
-            "threshold": str(args.threshold) if args.threshold is not None else None,
-        },
-        results=check_relations(relations, trace),
-        duration_seconds=time.perf_counter() - started,
-    )
-    return _emit(report, args)
+    threshold = None if args.threshold is None else str(args.threshold)
+    trace_info = {"seed": args.seed, "steps": steps, "fault": fault}
+    settings = {"steps": steps, "samples": spec.samples, "threshold": threshold}
+    return _check(args, started, f"{_BUNDLED_SPEC} (bundled)", relations, trace, trace_info, settings)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import islice
-from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
@@ -78,19 +76,25 @@ class Trace:
     ) -> "Trace":
         """Build a trace of ``length`` steps from per-clock tick-step lists.
 
-        Dates outside [0, length) are ignored and repeated dates count
-        once, so schedules may be generated in any order without
-        worrying about the trace boundary.  Each input is read once into
-        a new sorted list, so the trace never shares the caller's lists;
-        one that then holds every step is stored as ``range(length)``.
-        A clock not in ``dates`` never ticks; a name in ``dates`` that is
-        not in ``clocks`` raises UnknownClockError.
+        ``length`` must be an int >= 0 and every date an int; a bool, a
+        float or anything else raises ValueError naming the length or
+        the clock.  Dates outside [0, length) are ignored and repeated
+        dates count once, so schedules may be generated in any order
+        without worrying about the trace boundary.  Each input is read
+        once into a new sorted list, so the trace never shares the
+        caller's lists; one that then holds every step is stored as
+        ``range(length)``.  A clock not in ``dates`` never ticks; a name
+        in ``dates`` that is not in ``clocks`` raises UnknownClockError.
         """
+        if isinstance(length, bool) or not isinstance(length, int) or length < 0:
+            raise ValueError(f"trace length must be an int >= 0, got {length!r}")
         kept: dict[str, list[int]] = {}
         for name, steps in dates.items():
             ticks = list(steps)
-            if not all(map(lt, ticks, islice(ticks, 1, None))):
-                ticks = sorted(set(ticks))
+            for date in ticks:
+                if isinstance(date, bool) or not isinstance(date, int):
+                    raise ValueError(f"clock {name!r}: date {date!r} is not an int")
+            ticks = sorted(set(ticks))
             if ticks and (ticks[0] < 0 or ticks[-1] >= length):
                 ticks = ticks[bisect_left(ticks, 0):bisect_left(ticks, length)]
             kept[name] = ticks

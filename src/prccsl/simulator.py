@@ -152,11 +152,17 @@ _EXEC_FAULT_RANGES = {
 FAULT_TARGETS = frozenset(_PERIODIC_FAULT_JITTER) | frozenset(_EXEC_FAULT_RANGES)
 
 class AVParams(namedtuple("AVParams", "seed steps")):
-    """Seed and length of one run of the vehicle model (a named tuple)."""
+    """Seed and length of one run of the vehicle model (a named tuple).
+
+    ``steps`` must be an int >= 0; a bool, a float, a string or a
+    negative count raises ValueError, here and in ``_replace``.
+    """
 
     __slots__ = ()
 
     def __new__(cls, seed: int = 42, steps: int = 60000) -> AVParams:
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise ValueError(f"steps must be an int, got {steps!r}")
         if steps < 0:
             raise ValueError("steps must be nonnegative")
         return super().__new__(cls, seed, steps)
@@ -167,7 +173,11 @@ class AVParams(namedtuple("AVParams", "seed steps")):
 
 
 class FaultSpec(namedtuple("FaultSpec", "target rate")):
-    """A requirement family to violate and the per-occurrence rate (a named tuple)."""
+    """A requirement family to violate and the per-occurrence rate (a named tuple).
+
+    ``simulate_faulty`` raises FaultTargetError for an unknown target
+    and for a rate that is not an int or a float in [0, 1] (a bool is not).
+    """
 
     __slots__ = ()
 
@@ -183,6 +193,8 @@ def simulate_faulty(params: AVParams, fault: FaultSpec) -> Trace:
         raise FaultTargetError(
             f"unknown fault target {fault.target!r}; known: {', '.join(sorted(FAULT_TARGETS))}"
         )
+    if isinstance(fault.rate, bool) or not isinstance(fault.rate, (int, float)):
+        raise FaultTargetError(f"fault rate must be an int or a float, got {fault.rate!r}")
     if not 0 <= fault.rate <= 1:
         raise FaultTargetError(f"fault rate must be in [0, 1], got {fault.rate}")
     return _run(params, fault)

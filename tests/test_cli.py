@@ -50,6 +50,11 @@ def test_check_valid_spec_exits_zero(tmp_path, capsys):
     assert record["probability"] == {"decimal": "1", "fraction": "5/5"}
     assert record["threshold"]["fraction"] == "9/10"
     assert report["trace"]["steps"] == 10
+    # with --format json, --out holds the very text printed
+    json_out = tmp_path / "report-json.json"
+    code = main(["check", "--spec", spec, "--trace", trace, "--format", "json", "--out", str(json_out)])
+    assert code == 0
+    assert json_out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_check_accepts_spec_with_byte_order_mark(tmp_path, capsys):
@@ -217,11 +222,14 @@ def test_verify_av_small_run(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify-av", "--steps", "6000", "--out", str(out), "--format", "json"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
     assert report["summary"]["total"] == 36
     assert report["summary"]["fail"] == 0 and report["summary"]["error"] == 0
     assert report["trace"] == {"seed": 42, "steps": 6000, "fault": None}
     assert json.loads(out.read_text(encoding="utf-8")) == report
+    # --out holds the very text --format json prints
+    assert out.read_text(encoding="utf-8") == stdout
 
 
 def test_verify_av_threshold_one_flips_jittered_relations(capsys):

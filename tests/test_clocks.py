@@ -100,6 +100,19 @@ def test_from_dates_sorts_dedupes_clips_and_copies():
     assert t.dates("d") == [0, 2, 4]
 
 
+@pytest.mark.parametrize("length", [-1, True, False, 2.0, "3", None])
+def test_from_dates_rejects_a_length_that_is_not_an_int_at_least_zero(length):
+    with pytest.raises(ValueError, match="trace length"):
+        Trace.from_dates(["a"], length, {})
+
+
+@pytest.mark.parametrize("date", [0.5, 1.0, True, False, "1", None])
+def test_from_dates_rejects_a_date_that_is_not_an_int(date):
+    for steps in ([date, 2], [2, date], [1, date]):
+        with pytest.raises(ValueError, match="clock 'a'"):
+            Trace.from_dates(["a", "b"], 3, {"b": [0], "a": steps})
+
+
 @given(st.integers(0, 20), st.lists(st.integers(-5, 25), max_size=20))
 def test_from_dates_keeps_each_in_range_date_once_in_order(length, steps):
     t = Trace.from_dates(["a"], length, {"a": steps})

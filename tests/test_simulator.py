@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import islice
 from operator import lt
 
@@ -177,6 +178,11 @@ def test_params_validation():
         AVParams(0, -1)
     with pytest.raises(ValueError):
         AVParams()._replace(steps=-1)
+    for steps in (True, False, 10.5, 10.0, "10", None):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            AVParams(steps=steps)
+        with pytest.raises(ValueError, match="steps must be an int"):
+            AVParams()._replace(steps=steps)
 
 
 def test_params_and_fault_are_value_typed_named_tuples():
@@ -200,6 +206,9 @@ def test_fault_validation():
         simulate_faulty(PARAMS, FaultSpec("nope", 0.5))
     with pytest.raises(FaultTargetError):
         simulate_faulty(PARAMS, FaultSpec("exec-R5", 1.5))
+    for rate in ("0.5", True, False, None, Fraction(1, 2)):
+        with pytest.raises(FaultTargetError, match="fault rate must be an int or a float"):
+            simulate_faulty(PARAMS, FaultSpec("exec-R7", rate))
     assert "periodic-R1" in FAULT_TARGETS and "exec-R8" in FAULT_TARGETS
     assert len(FAULT_TARGETS) == 8
 
