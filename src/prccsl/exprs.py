@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import le
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import _EXPORTS
 from .clocks import Trace, validate_clock_name
@@ -113,7 +113,7 @@ class Sup(_Node):
     right: ClockExpr
 
 
-ClockExpr = Union[Ref, PeriodicOn, DelayFor, Inf, Sup]
+ClockExpr = Ref | PeriodicOn | DelayFor | Inf | Sup
 
 
 def clocks_of(expr: ClockExpr) -> frozenset[str]:

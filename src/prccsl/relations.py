@@ -25,21 +25,20 @@ threshold p iff m/k >= p, compared in exact rational arithmetic.  A
 monitor with a sample size N keeps only the first N observations in
 step order, freezing its verdict once k reaches N.
 
-RelationSpec, Verdict and RelationError are named tuples whose
-assignment raises FrozenInstanceError, as a frozen dataclass's does.
+RelationSpec, Verdict and RelationError are named tuples, so assigning
+to a field raises AttributeError.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import FrozenInstanceError
 from enum import Enum, unique
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import ge, gt, mod
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import _EXPORTS
 from .clocks import Trace
@@ -57,11 +56,6 @@ class RelationKind(Enum):
     PRECEDENCE = "precedence"
 
 
-def _frozen(self, name: str, value: object) -> None:
-    """The records' ``__setattr__``: they are immutable, as frozen dataclasses are."""
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
 class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold sample_size",
                               defaults=(None,))):
     """One probabilistic relation to monitor (a named tuple).
@@ -73,7 +67,6 @@ class RelationSpec(namedtuple("RelationSpec", "id kind left right threshold samp
     """
 
     __slots__ = ()
-    __setattr__ = _frozen
 
     def __new__(cls, *args, **kwargs) -> RelationSpec:
         self = super().__new__(cls, *args, **kwargs)
@@ -102,17 +95,15 @@ class Verdict(namedtuple("Verdict", "id kind k m probability threshold outcome")
     """Final judgement of one relation on one trace; outcome is "valid", "fail" or "vacuous"."""
 
     __slots__ = ()
-    __setattr__ = _frozen
 
 
 class RelationError(namedtuple("RelationError", "id message")):
     """A relation that could not be evaluated (reported, not raised; a named tuple)."""
 
     __slots__ = ()
-    __setattr__ = _frozen
 
 
-CheckResult = Union[Verdict, RelationError]
+CheckResult = Verdict | RelationError
 
 
 def check_relations(specs: Sequence[RelationSpec], trace: Trace) -> list[CheckResult]:

@@ -154,21 +154,24 @@ FAULT_TARGETS = frozenset(_PERIODIC_FAULT_JITTER) | frozenset(_EXEC_FAULT_RANGES
 class AVParams(namedtuple("AVParams", "seed steps")):
     """Seed and length of one run of the vehicle model (a named tuple).
 
-    ``steps`` must be an int >= 0; a bool, a float, a string or a
-    negative count raises ValueError, here and in ``_replace``.
+    ``seed`` must be an int and ``steps`` an int >= 0; a bool, a float,
+    a string or a negative count raises ValueError, here and in
+    ``_replace``.
     """
 
     __slots__ = ()
 
     def __new__(cls, seed: int = 42, steps: int = 60000) -> AVParams:
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ValueError(f"steps must be an int, got {steps!r}")
+        # a bool is an int, but True would seed the substreams as "True/<name>"
+        for name, value in (("seed", seed), ("steps", steps)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if steps < 0:
             raise ValueError("steps must be nonnegative")
         return super().__new__(cls, seed, steps)
 
     @classmethod
-    def _make(cls, iterable) -> AVParams:  # so that _replace checks steps too
+    def _make(cls, iterable) -> AVParams:  # so that _replace checks too
         return cls(*iterable)
 
 

@@ -20,7 +20,8 @@ Expression forms: a bare name, ``periodicon <expr> period N``,
 as exact rationals.
 
 A parsed file is a SpecFile of Definition and RelationSpec records, all
-named tuples; ``elaborate`` builds its relations with ``_replace``.
+named tuples, so assigning to a field raises AttributeError; ``elaborate``
+builds its relations with ``_replace``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import _EXPORTS
 from .clocks import UNIVERSAL_CLOCK
 from .errors import SpecSyntaxError, SpecValidationError
 from .exprs import ClockExpr, DelayFor, Inf, PeriodicOn, Ref, Sup, clocks_of
-from .relations import RelationKind, RelationSpec, _frozen
+from .relations import RelationKind, RelationSpec
 
 __all__ = _EXPORTS["speclang"]
 
@@ -81,7 +82,6 @@ class Definition(namedtuple("Definition", "name expr")):
     """A named clock expression, ``def name = expr`` (a named tuple)."""
 
     __slots__ = ()
-    __setattr__ = _frozen
 
 
 class SpecFile(namedtuple("SpecFile", "clocks definitions relations steps samples",
@@ -97,7 +97,6 @@ class SpecFile(namedtuple("SpecFile", "clocks definitions relations steps sample
     """
 
     __slots__ = ()
-    __setattr__ = _frozen
 
 
 # -- tokenizer ----------------------------------------------------------

@@ -16,11 +16,11 @@ from __future__ import annotations
 import io
 from bisect import bisect_left
 from contextlib import contextmanager
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, islice
-from operator import add
+from operator import add, iadd
 from os import PathLike
-from typing import IO, Any, Iterable, Iterator, Union
+from typing import IO, Any, Iterable, Iterator
 
 from . import _EXPORTS
 from .clocks import Trace
@@ -28,7 +28,7 @@ from .errors import DeclarationError, TraceFormatError, bad_utf8_position
 
 __all__ = _EXPORTS["traceio"]
 
-Source = Union[str, PathLike, IO[str]]
+Source = str | PathLike | IO[str]
 
 _BLOCK_ROWS = 8192  # rows rendered per write or checked per read; bounds buffers
 _BLOCK_BYTES = 1 << 20  # and so do bytes, however wide the rows
@@ -177,15 +177,17 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                 template[pos::width] = digit.replace(b"1", b"0")
             # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
             if not canonical or seg.replace(b"1", b"0") != template:
-                if read is not None:  # go on as text from the segment's first byte: a line start, where
+                chunks = iter(partial(handle.read, io.DEFAULT_BUFFER_SIZE), "")  # each then read on to a line end
+                if read is None:  # a stream: the segment's text is read already
+                    chunks = chain([text], chunks)
+                else:  # go on as text from the segment's first byte: a line start, where
                     # the decoder holds no state, so the byte offset is the text handle's own seek cookie
                     handle.seek(handle.buffer.tell() - len(seg))
-                    text = handle.read(size)
-                chunks = chain([text], iter(partial(handle.read, len(text)), ""))
                 lines = (io.StringIO(chunk + handle.readline(), newline="") for chunk in chunks)
                 rendered = _read_rows(csv.reader(chain.from_iterable(lines)), step, len(header))
-                # a segment of ``size // width`` rendered rows, at the width of the step being read
-                read = lambda size: "".join(islice(rendered, size // width)).encode("ascii")
+                # a segment of ``size // width`` rendered rows, at the width of the step being read, grown
+                # in place: a bytes join would hold a list of the rows and a buffer view of each at once
+                read = lambda size: reduce(iadd, islice(rendered, size // width), bytearray())
                 continue
             steps: list[int] = []  # the segment's steps, made once for the dense columns
             for index, name, ticks in columns:
@@ -222,11 +224,12 @@ def _read_header(reader: Any) -> list[str]:
     return clocks
 
 
-def _read_rows(reader: Any, step: int, clocks: int) -> Iterator[str]:
+def _read_rows(reader: Any, step: int, clocks: int) -> Iterator[bytes]:
     """Validate the rows of ``clocks`` cells that ``reader`` yields from ``step`` on.
 
-    Each is yielded as ``write_trace`` writes it.  The reader starts on
-    the line of ``step``, which follows the one-line header.
+    Each is yielded as the ASCII bytes ``write_trace`` writes for it.
+    The reader starts on the line of ``step``, which follows the
+    one-line header.
     """
     from csv import Error  # loaded already: read_trace made the reader
 
@@ -242,7 +245,7 @@ def _read_rows(reader: Any, step: int, clocks: int) -> Iterator[str]:
             # every cell is "0" or "1" exactly: a comma in a cell, or an empty one, shifts the commas
             if text[len(row[0]):].replace("1", "0") != zeros:
                 raise TraceFormatError("cell must be 0 or 1", line)
-            yield text
+            yield text.encode("ascii")
             step += 1
     except Error as exc:
         raise TraceFormatError(str(exc), lines_before + reader.line_num) from None

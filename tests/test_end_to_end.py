@@ -8,16 +8,26 @@ from ``oracle_expr`` and ``oracle_relation``, applied to the dates that
 the test's own ``csv``-module parse finds in the written file.  So the
 parser, the elaborator's inlining and interning, the projected CSV read,
 the engine and the report are all checked against the oracle at once.
+
+``prccsl verify-av`` is checked the same way: its JSON report on the
+bundled corpus must give the ``k``, ``m`` and outcome that the oracle
+finds on the dates of the same simulator run, made here in process.
 """
 
 import csv
 import json
 from fractions import Fraction
+from importlib import resources
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prccsl import DelayFor, Inf, PeriodicOn, Ref, Sup, Trace, trace_to_string
+from prccsl import (
+    AVParams, DelayFor, FaultSpec, Inf, PeriodicOn, Ref, Sup, Trace, elaborate, parse, simulate, simulate_faulty,
+    trace_to_string,
+)
 from prccsl.cli import main
 from prccsl.oracle import oracle_expr, oracle_relation
 
@@ -137,19 +147,52 @@ def test_check_reports_match_the_oracle(tmp_path, trace, spec, order, form, data
 
     read, steps = parsed_dates(trace_path)
     assert (read, steps) == (dates, n)
-    report = json.loads(out.read_text(encoding="utf-8"))
+    relations = [(rid, WORDS[word], left, right, threshold) for rid, word, left, right, threshold in relations]
+    assert_report_matches_the_oracle(code, out, relations, read, steps, samples)
+
+
+def assert_report_matches_the_oracle(code, out, relations, dates, steps, cap):
+    """The exit status and the report at ``out`` of (id, kind, left, right, threshold) relations."""
     memo = {}
 
     def oracle(node):
         if node not in memo:
-            memo[node] = oracle_expr(node, read, steps)
+            memo[node] = oracle_expr(node, dates, steps)
         return memo[node]
 
     expected = []
-    for rid, word, left, right, threshold in relations:
-        k, m = oracle_relation(WORDS[word], oracle(left), oracle(right), steps, cap=samples)
+    for rid, kind, left, right, threshold in relations:
+        k, m = oracle_relation(kind, oracle(left), oracle(right), steps, cap=cap)
         outcome = "vacuous" if k == 0 else "valid" if Fraction(m, k) >= Fraction(threshold) else "fail"
-        expected.append({"id": rid, "kind": WORDS[word], "k": k, "m": m, "outcome": outcome})
+        expected.append({"id": rid, "kind": kind, "k": k, "m": m, "outcome": outcome})
+    report = json.loads(out.read_text(encoding="utf-8"))
     got = [{key: record[key] for key in ("id", "kind", "k", "m", "outcome")} for record in report["relations"]]
     assert got == expected
     assert code == (1 if any(record["outcome"] == "fail" for record in expected) else 0)
+
+
+@pytest.mark.parametrize(
+    "seed, steps, extra",
+    [
+        (0, 3000, []),
+        (7, 300, []),
+        (3, 2000, ["--threshold", "0.5"]),
+        (11, 1000, ["--threshold", "0.5"]),
+        (5, 3000, ["--fault", "exec-R7:0.2"]),
+        (9, 700, ["--fault", "exec-R7:0.2"]),
+    ],
+)
+def test_verify_av_reports_match_the_oracle(tmp_path, seed, steps, extra):
+    out = tmp_path / "r.json"
+    argv = ["verify-av", "--seed", str(seed), "--steps", str(steps), *extra]
+    code = main([*argv, "--format", "json", "--out", str(out)])
+
+    params = AVParams(seed, steps)
+    trace = simulate(params) if "--fault" not in extra else simulate_faulty(params, FaultSpec("exec-R7", 0.2))
+    dates = {clock: list(trace.dates(clock)) for clock in trace.clocks}
+    spec = parse(resources.files("prccsl").joinpath("data", "av_requirements.prccsl").read_text("utf-8"))
+    _, relations = elaborate(spec)
+    assert len(relations) == 36
+    threshold = "0.5" if "--threshold" in extra else None
+    relations = [(rel.id, rel.kind.value, rel.left, rel.right, threshold or rel.threshold) for rel in relations]
+    assert_report_matches_the_oracle(code, out, relations, dates, steps, spec.samples)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -59,3 +60,20 @@ def test_import_loads_only_the_modules_a_name_needs():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert run.stdout.splitlines() == ["prccsl", "prccsl prccsl.clocks prccsl.errors"]
+
+
+def test_only_the_node_kinds_import_dataclasses_and_no_module_typing_union():
+    dataclass_users, union_users = set(), set()
+    for path in sorted((SRC / "prccsl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                dataclass_users.update(path.name for alias in node.names if alias.name == "dataclasses")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("dataclasses", "typing"):
+                if node.module == "dataclasses":
+                    dataclass_users.add(path.name)
+                elif any(alias.name == "Union" for alias in node.names):
+                    union_users.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "Union":
+                union_users.add(path.name)
+    assert dataclass_users == {"exprs.py"}
+    assert not union_users

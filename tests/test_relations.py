@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -111,8 +110,9 @@ def test_verdict_is_frozen_and_repeatable():
     rows = [(1, 1)] * 4
     first = run(RelationKind.SUBCLOCK, rows)
     assert (first.k, first.m, first.outcome) == (4, 4, "valid")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         first.k = 99  # type: ignore[misc]
+    assert first.k == 4
     assert run(RelationKind.SUBCLOCK, rows) == first
 
 

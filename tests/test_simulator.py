@@ -183,6 +183,12 @@ def test_params_validation():
             AVParams(steps=steps)
         with pytest.raises(ValueError, match="steps must be an int"):
             AVParams()._replace(steps=steps)
+    for seed in (True, False, 1.5, 42.0, "42", [1], None):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            AVParams(seed=seed)
+        with pytest.raises(ValueError, match="seed must be an int"):
+            AVParams()._replace(seed=seed)
+    assert AVParams(-3, 5).seed == -3
 
 
 def test_params_and_fault_are_value_typed_named_tuples():

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import sys
 from fractions import Fraction
@@ -393,7 +392,7 @@ _RECORDS = {
 
 @pytest.mark.parametrize("field, record, text", _RECORDS.values(), ids=_RECORDS)
 def test_records_are_frozen_and_keep_their_repr(field, record, text):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert repr(record) == text
     restored = pickle.loads(pickle.dumps(record))

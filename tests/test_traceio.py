@@ -531,3 +531,32 @@ def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path):
         assert isinstance(back.dates("ms"), range) and len(back) == steps
         assert peak < 3 << 20, f"peak {peak} bytes"
     assert back.dates("a") == original.dates("a")
+
+
+def test_the_row_parser_holds_a_segment_once(tmp_path):
+    # each segment of rows that csv.reader parses is rendered into one
+    # bytearray, not joined from a list of row strings and then encoded,
+    # and text is read on in chunks of 8 KiB, not of a whole segment, each
+    # of which io.StringIO stores at 4 bytes a character: on Python 3.10
+    # to 3.13 the peaks were 0.93-0.99 MiB (CRLF) and 6.5-6.6 MiB (one
+    # quoted cell) before, and are 0.52-0.53 and 2.3 MiB
+    steps = 30_000
+    original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
+    names = [f"c{i}" for i in range(40)]
+    wide = Trace.from_dates(names, 10_000, {name: range(i, 10_000, 50 + i) for i, name in enumerate(names)})
+    lines = trace_to_string(wide).split("\n")
+    lines[5000] = re.sub(r",(\d)", r',"\1"', lines[5000], count=1)  # from the segment of steps 1000 to 9191 on
+    for trace, text, bound in (
+        (original, trace_to_string(original).replace("\n", "\r\n"), 0.65),
+        (wide, "\n".join(lines), 4),
+    ):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("ascii"))
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [back.dates(name) for name in back.clocks] == [trace.dates(name) for name in trace.clocks]
+        assert peak < bound * (1 << 20), f"peak {peak} bytes"
