@@ -34,15 +34,15 @@ alone.  All randomness comes from named substreams seeded as
 "<seed>/<name>", so identical parameters give byte-identical traces and
 adding a new stochastic source does not perturb the existing ones.
 
-Integer draws read a stream's 32-bit generator outputs directly, in
-batches from the public ``getrandbits``: a value in [lo, hi] keeps the
-top ``span.bit_length()`` bits of one output and is drawn again while
-it is at least the span.  That is the algorithm ``randint`` uses, so the
-traces equal those of ``randint`` calls, but they rest only on the
-Mersenne Twister's output sequence, not on how a Python version
-implements ``randint``.  Only the obstacle stream (``random()``) and the
-fault stream (``random()`` mixed with ``randint()``) call ``Random``
-methods.
+Integer draws are one ``getrandbits(k)`` call per try, with no
+batching: a value in [lo, hi] is ``lo + r`` for the first
+``r = getrandbits(k)`` below ``hi - lo + 1``, whose bit length is k.
+That is the rule ``randint`` follows, so the traces equal those of
+``randint`` calls, but they rest only on the public ``getrandbits``:
+for k <= 32 it keeps the top k bits of one 32-bit Mersenne Twister
+output, and the locked digests in ``tests/data/trace_digests.json`` pin
+that.  The obstacle stream calls ``random()``, and the fault stream
+mixes ``random()`` with these draws on one ``Random``.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate, chain, islice, repeat
-from operator import add, rshift
-from struct import unpack
+from itertools import accumulate, islice
+from operator import add
 from typing import Iterator
 
 from . import _EXPORTS
@@ -208,34 +207,19 @@ def monotone(steps: list[int]) -> list[int]:
     return list(accumulate(steps, lambda last, at: at if at > last else last + 1))
 
 
-_WORD_BATCHES = (16, 64, 256, 1024)  # outputs per getrandbits call; the last repeats
-
-
-def words(rng: random.Random) -> Iterator[int]:
-    """The successive 32-bit outputs of ``rng``'s generator.
-
-    ``getrandbits(32 * m)`` packs the next m outputs into one integer,
-    the first in the lowest 32 bits, so its little-endian bytes hold them
-    in order.  Batches grow, so a short run takes few outputs.
-    """
-    sizes = chain(_WORD_BATCHES, repeat(_WORD_BATCHES[-1]))
-    return chain.from_iterable(
-        unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little")) for m in sizes
-    )
-
-
-def uniform(source: Iterator[int], lo: int, hi: int) -> Iterator[int]:
+def uniform(rng: random.Random, lo: int, hi: int) -> Iterator[int]:
     """Integers in [lo, hi], each drawn as ``randint(lo, hi)`` draws it.
 
-    For a span of at most 2**32, ``randint`` keeps the top
-    ``span.bit_length()`` bits of one 32-bit output and draws again while
-    that value is at least the span, so the values equal successive
-    ``randint`` calls on the generator ``source`` reads.  Pulled lazily:
-    iterators over one source interleave their draws in the order they
-    are advanced.
+    Each try is one ``rng.getrandbits(span.bit_length())``, kept once it
+    is below the span, for any span.  Pulled lazily: iterators over one
+    ``rng`` interleave their draws in the order they are advanced.
     """
     span = hi - lo + 1
-    return (lo + r for r in map(rshift, source, repeat(32 - span.bit_length())) if r < span)
+    bits, getrandbits = span.bit_length(), rng.getrandbits
+    while True:
+        r = getrandbits(bits)
+        if r < span:
+            yield lo + r
 
 
 def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
@@ -247,7 +231,7 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
         return random.Random(f"{params.seed}/{name}")
 
     def draws(name: str, window: tuple[int, int]) -> Iterator[int]:
-        return uniform(words(stream(name)), *window)
+        return uniform(stream(name), *window)
 
     fault_rng = stream("fault")
 
@@ -257,14 +241,12 @@ def _run(params: AVParams, fault: FaultSpec | None) -> Trace:
     def periodic(period: int, family: str) -> list[int]:
         if family != target:
             return list(range(0, n, period))
-        jitter = _PERIODIC_FAULT_JITTER[family]
-        return [
-            step + fault_rng.randint(1, jitter) if hit() else step for step in range(0, n, period)
-        ]
+        jitters = uniform(fault_rng, 1, _PERIODIC_FAULT_JITTER[family])
+        return [step + next(jitters) if hit() else step for step in range(0, n, period)]
 
     def stage(anchors: list[int], name: str, window: tuple[int, int], family: str) -> list[int]:
         """Each anchor plus one latency from ``name`` (or the fault range on a hit), clamped."""
-        source = words(stream(name))
+        source = stream(name)
         latencies = uniform(source, *window)
         if family == target:  # both ranges draw from one source, in anchor order
             normal, stretched = latencies, uniform(source, *_EXEC_FAULT_RANGES[family])

@@ -17,10 +17,10 @@ import io
 from bisect import bisect_left
 from contextlib import contextmanager
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, compress, islice
 from operator import add, iadd
 from os import PathLike
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from . import _EXPORTS
 from .clocks import Trace
@@ -104,9 +104,9 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
 
     A path and a text stream are read alike: every line, the header's
     too, ends at "\n", "\r" or "\r\n", whatever the stream's own line
-    splitting.  The body is read in the segments ``write_trace`` writes,
-    as bytes: from a path's binary buffer, or ASCII-encoded from a text
-    stream.  A segment is canonical when it is ASCII, has the step
+    splitting, and is split out of bounded chunks of text.  The body is
+    read in the segments ``write_trace`` writes, as bytes: from a path's
+    binary buffer, or ASCII-encoded from a text stream.  A segment is canonical when it is ASCII, has the step
     digits ``write_trace`` gives its rows and, once "1" reads "0",
     equals a template of rows of "0" cells kept per digit count and row
     count, into which only the step digits are written.  Each column's
@@ -136,19 +136,18 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
     if isinstance(clocks, str):  # would keep the clocks named by its letters
         raise TypeError(f"clocks must be clock names, not one str: {clocks!r}")
     with _opened(source, "r") as handle:
-        line = handle.readline()
-        first = io.StringIO(line, newline="")  # a stream may end lines at "\n" only
-        reader = csv.reader(chain(first, handle))
+        line, rest = _first_line(handle.read)
+        reader = csv.reader([line])
         try:
             header = _read_header(reader)
         except csv.Error as exc:
             raise TraceFormatError(str(exc), reader.line_num) from None
         read = None  # a path's body bytes come from its buffer, not through the text layer
-        if rest := first.read():  # the body began inside the stream's first line
-            handle = io.StringIO(rest + handle.read(), newline="")
-        elif isinstance(source, (str, PathLike)) and handle.seekable():
+        if isinstance(source, (str, PathLike)) and handle.seekable():
             handle.buffer.seek(len(line.encode("utf-8")))  # the body's first byte
             read = handle.buffer.read
+        else:  # the body began inside the text read for the header
+            read_text = _read_on(rest, handle.read)
         wanted = set(header if clocks is None else clocks)
         dates: dict[str, list[int]] = {name: [] for name in header if name in wanted}
         columns = [(index, name, dates[name]) for index, name in enumerate(header) if name in dates]
@@ -160,7 +159,7 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
             width = digits + 2 * len(header) + 1
             size = (min(step + min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // width)), 10**digits) - step) * width
             if read is None:
-                text = handle.read(size)
+                text = read_text(size)
                 seg = text.encode("ascii", "replace")  # other text is not canonical
             else:
                 seg = read(size)
@@ -177,14 +176,14 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                 template[pos::width] = digit.replace(b"1", b"0")
             # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
             if not canonical or seg.replace(b"1", b"0") != template:
-                chunks = iter(partial(handle.read, io.DEFAULT_BUFFER_SIZE), "")  # each then read on to a line end
                 if read is None:  # a stream: the segment's text is read already
-                    chunks = chain([text], chunks)
+                    read_text = _read_on(text, read_text)
                 else:  # go on as text from the segment's first byte: a line start, where
                     # the decoder holds no state, so the byte offset is the text handle's own seek cookie
                     handle.seek(handle.buffer.tell() - len(seg))
-                lines = (io.StringIO(chunk + handle.readline(), newline="") for chunk in chunks)
-                rendered = _read_rows(csv.reader(chain.from_iterable(lines)), step, len(header))
+                    read_text = handle.read
+                lines = _lines(iter(partial(read_text, io.DEFAULT_BUFFER_SIZE), ""))
+                rendered = _read_rows(csv.reader(lines), step, len(header))
                 # a segment of ``size // width`` rendered rows, at the width of the step being read, grown
                 # in place: a bytes join would hold a list of the rows and a buffer view of each at once
                 read = lambda size: reduce(iadd, islice(rendered, size // width), bytearray())
@@ -207,6 +206,55 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
             step += rows
     dates.update(dict.fromkeys(full, range(step)))  # _from_sorted makes a list of every step one too
     return Trace._from_sorted(list(dates), step, dates)
+
+
+def _first_line(read: Callable[[int], str]) -> tuple[str, str]:
+    """The first line of the text ``read`` returns, and the text read past it.
+
+    The line ends at "\n", "\r" or "\r\n".  Text is read in chunks of
+    ``io.DEFAULT_BUFFER_SIZE``, so little is read past the line.
+    """
+    pieces = []
+    while chunk := read(io.DEFAULT_BUFFER_SIZE):
+        if chunk[-1] == "\r":  # a "\n" next would end the same line
+            chunk += read(1)
+        text = io.StringIO(chunk, newline="")
+        pieces.append(text.readline())
+        if pieces[-1][-1] in "\r\n":
+            return "".join(pieces), text.read()
+    return "".join(pieces), ""
+
+
+def _read_on(text: str, read: Callable[[int], str]) -> Callable[[int], str]:
+    """``read``, returning the characters of ``text`` before its own."""
+    head = io.StringIO(text)
+
+    def read_on(size: int) -> str:
+        got = head.read(size)
+        return got + read(size - len(got)) if len(got) < size else got
+
+    return read_on
+
+
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text ``chunks`` make, each ending at "\n", "\r" or "\r\n".
+
+    Each chunk is split here, whatever line splitting its stream has, so
+    nothing is read past a chunk to find a line end; a line spread over
+    several chunks is joined once, from its pieces.
+    """
+    head: list[str] = []  # a line not ended yet, or ended by a "\r" that a "\n" may still join
+    for chunk in chunks:
+        for line in io.StringIO(chunk, newline=""):
+            if head and head[-1][-1] == "\r" and line != "\n":
+                yield "".join(head)
+                head = []
+            head.append(line)
+            if line[-1] == "\n":
+                yield "".join(head)
+                head = []
+    if head:
+        yield "".join(head)
 
 
 def _read_header(reader: Any) -> list[str]:

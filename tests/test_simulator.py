@@ -17,7 +17,7 @@ from prccsl import (
     trace_to_string,
 )
 from prccsl import simulator
-from prccsl.simulator import uniform, words
+from prccsl.simulator import uniform
 
 N = 20000
 PARAMS = AVParams(steps=N, seed=7)
@@ -292,32 +292,47 @@ WINDOWS = sorted({
 
 
 @pytest.mark.parametrize(
-    "lo,hi", [(0, span - 1) for span in (1, 2, 6, 16, 17, 32, 41, 1201)] + WINDOWS
+    "lo,hi",
+    [(0, span - 1) for span in (1, 2, 6, 16, 17, 32, 41, 1201)]
+    + [(0, 2**32 - 1), (0, 2**32), (0, 2**40), (-(2**70), 3**50)]  # one try takes more than one 32-bit output
+    + WINDOWS,
 )
 def test_uniform_equals_randint(lo, hi):
     for seed in range(5):
         rng = random.Random(seed)
         expected = [rng.randint(lo, hi) for _ in range(5000)]
-        assert list(islice(uniform(words(random.Random(seed)), lo, hi), 5000)) == expected
+        assert list(islice(uniform(random.Random(seed), lo, hi), 5000)) == expected
 
 
 def test_sign_type_draw_equals_randrange():
     rng = random.Random("3/sign-type")
     expected = [rng.randrange(simulator._SIGN_TYPE_COUNT) for _ in range(5000)]
-    got = uniform(words(random.Random("3/sign-type")), 0, simulator._SIGN_TYPE_COUNT - 1)
+    got = uniform(random.Random("3/sign-type"), 0, simulator._SIGN_TYPE_COUNT - 1)
     assert list(islice(got, 5000)) == expected
 
 
 @pytest.mark.parametrize(
-    "first,second", [((100, 150), (151, 190)), ((20, 30), (31, 45)), ((0, 0), (400, 2000))]
+    "first,second",
+    [
+        ((100, 150), (151, 190)),
+        ((20, 30), (31, 45)),
+        ((0, 0), (400, 2000)),
+        # None: random() calls, which a periodic fault mixes with its jitter draws
+        (None, (1, 20)),
+        (None, (1, 2**40)),
+    ],
 )
 def test_iterators_on_one_source_interleave_like_randint(first, second):
     pattern = [i % 3 == 0 or i % 7 == 1 for i in range(3000)]  # True: draw from second
     for seed in range(5):
         rng = random.Random(f"{seed}/ctrl-exec")
-        expected = [rng.randint(*(second if pick else first)) for pick in pattern]
-        source = words(random.Random(f"{seed}/ctrl-exec"))
-        a, b = uniform(source, *first), uniform(source, *second)
+        expected = [
+            rng.randint(*second) if pick else rng.random() if first is None else rng.randint(*first)
+            for pick in pattern
+        ]
+        source = random.Random(f"{seed}/ctrl-exec")
+        a = iter(source.random, None) if first is None else uniform(source, *first)
+        b = uniform(source, *second)
         assert [next(b if pick else a) for pick in pattern] == expected
 
 
