@@ -51,16 +51,12 @@ def _fault_arg(text: str) -> FaultSpec:
 
 
 def _threshold_arg(text: str) -> Fraction:
-    import re
-    from fractions import Fraction
+    from .speclang import _threshold  # loaded anyway: verify-av parses the bundled corpus
 
-    try:  # the spec's "prob >=" literal: Fraction alone would spend seconds on "1e-10000000"
-        value = Fraction(re.fullmatch(r"[0-9]+(\.[0-9]+)?", text)[0])
-    except (TypeError, ValueError):  # no match, or more digits than int() converts
-        raise argparse.ArgumentTypeError(f"bad threshold {text!r}")
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError("threshold must be in [0, 1]")
-    return value
+    try:
+        return _threshold(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -108,11 +108,12 @@ class SpecFile(namedtuple("SpecFile", "clocks definitions relations steps sample
 # start is the token's offset in the text; only an error needs its line.
 _Token = namedtuple("_Token", "type text start")
 
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?"  # a decimal literal: no sign, no exponent
 
 # blanks and comments go before each token; the scan ends at an eof token
 _TOKEN_RE = re.compile(
-    r"""(?:[ \t\r\n]+|\#[^\n]*)*
-      (?: (?P<number>[0-9]+(?:\.[0-9]+)?)
+    rf"""(?:[ \t\r\n]+|\#[^\n]*)*
+      (?: (?P<number>{_NUMBER})
         | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
         | (?P<sym>>=|[(),:=])
         | (?P<eof>\Z)
@@ -269,11 +270,9 @@ class _Parser:
         self.expect(">=")
         number = self.expect_type("number", "a probability")
         try:
-            threshold = Fraction(number.text)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            self.fail("threshold has too many digits", number, SpecValidationError)
-        if not 0 <= threshold <= 1:
-            self.fail(f"threshold out of range: {number.text}", number, SpecValidationError)
+            threshold = _threshold(number.text)
+        except ValueError as exc:
+            self.fail(str(exc), number, SpecValidationError)
         self.declare(token, None)
         self.relations.append(
             RelationSpec(token.text, _RELOPS[op.text], left, right, threshold)
@@ -339,6 +338,23 @@ class _Parser:
             node = Inf(left, right) if token.text == "inf" else Sup(left, right)
             return node, max(left_reach, right_reach)
         self.fail(f"expected an expression, found {_describe(token)}", token)
+
+
+def _threshold(text: str) -> Fraction:
+    """The exact value of the literal ``text`` of ``prob >= X`` and of ``--threshold X``.
+
+    Raises ValueError with the message to report.  The pattern goes first:
+    ``Fraction`` alone would take "1e-5", and spend seconds on "1e-10000000".
+    """
+    if not re.fullmatch(_NUMBER, text):
+        raise ValueError(f"bad threshold {text!r}")
+    try:
+        value = Fraction(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError("threshold has too many digits") from None
+    if not 0 <= value <= 1:
+        raise ValueError(f"threshold out of range: {text}")
+    return value
 
 
 def _describe(token: _Token) -> str:

@@ -9,6 +9,11 @@ Format:
 LF line endings, no quoting (clock names are identifiers), row r holds
 step index r.  The explicit step column is redundant but catches
 truncated or reordered files cheaply.
+
+Both directions work in bytes: a path is opened in binary, a text
+stream's text is encoded to UTF-8 as it is read, and the writer's ASCII
+bytes are decoded as they are written to one.  So a path, a pipe and a
+text stream go through one read loop and one write loop.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_left
 from contextlib import contextmanager
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, compress, islice
 from operator import add, iadd
 from os import PathLike
@@ -24,7 +29,7 @@ from typing import IO, Any, Callable, Iterable, Iterator
 
 from . import _EXPORTS
 from .clocks import Trace
-from .errors import DeclarationError, TraceFormatError, bad_utf8_position
+from .errors import DeclarationError, TraceFormatError
 
 __all__ = _EXPORTS["traceio"]
 
@@ -36,15 +41,20 @@ _CELL_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @contextmanager
-def _opened(target: Source, mode: str) -> Iterator[IO[str]]:
+def _opened(target: Source, mode: str) -> Iterator[Callable[[Any], Any]]:
+    """A bytes ``read(size)`` (mode "rb") or ``write(data)`` (mode "wb") on ``target``.
+
+    A path is opened in binary.  A text stream's text is encoded to UTF-8
+    as it is read, a lone surrogate to bytes that do not decode, so it is
+    reported as a file's bad byte is; ASCII bytes written are decoded.
+    """
     if isinstance(target, (str, PathLike)):
-        with open(target, mode, encoding="utf-8", newline="") as handle:
-            try:
-                yield handle
-            except UnicodeDecodeError:
-                raise TraceFormatError("not valid UTF-8", bad_utf8_position(target)[0]) from None
+        with open(target, mode) as handle:
+            yield handle.read if mode == "rb" else handle.write
+    elif mode == "rb":
+        yield lambda size: target.read(size).encode("utf-8", "surrogatepass")
     else:
-        yield target
+        yield lambda data: target.write(data.decode("ascii"))
 
 
 def write_trace(trace: Trace, sink: Source) -> None:
@@ -58,8 +68,8 @@ def write_trace(trace: Trace, sink: Source) -> None:
     set a byte each.
     """
     clocks = trace.clocks
-    with _opened(sink, "w") as out:
-        out.write(",".join(("step", *clocks)) + "\n")
+    with _opened(sink, "wb") as write:
+        write((",".join(("step", *clocks)) + "\n").encode("ascii"))
         start = 0
         while start < len(trace):
             digits = len(str(start))
@@ -74,7 +84,7 @@ def write_trace(trace: Trace, sink: Source) -> None:
                 offset -= start * width
                 for step in dates[lo:hi]:
                     cells[step * width + offset] = 49  # ord("1")
-            out.write(cells.decode("ascii"))
+            write(cells)
             start = stop
 
 
@@ -102,23 +112,24 @@ def _digit_column(start: int, stop: int, unit: int) -> bytes:
 def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
     """Parse a trace CSV, validating its structure.
 
-    A path and a text stream are read alike: every line, the header's
-    too, ends at "\n", "\r" or "\r\n", whatever the stream's own line
-    splitting, and is split out of bounded chunks of text.  The body is
-    read in the segments ``write_trace`` writes, as bytes: from a path's
-    binary buffer, or ASCII-encoded from a text stream.  A segment is canonical when it is ASCII, has the step
-    digits ``write_trace`` gives its rows and, once "1" reads "0",
-    equals a template of rows of "0" cells kept per digit count and row
-    count, into which only the step digits are written.  Each column's
-    ticks then come from its strided slice, and columns ticking on more
-    than one row in 16 take their dates from one list of the segment's
-    steps, so they share its int objects.  A column that ticks on every
-    row gets no list at all: it is ``range(steps)``.  From the first
-    segment that is not canonical on, ``csv.reader`` parses each row (a
-    path is read on as text from that segment's first byte), handling
-    quoting and CRLF line ends; each row is validated and re-read as the
-    line ``write_trace`` writes for it, and segments of those lines go
-    the same way, at about 20 times the cost (60k steps: 250 vs 12 ms).
+    A path (a pipe too) and a text stream are read alike, as bytes: a
+    path in binary, a stream's text encoded to UTF-8.  Every line, the
+    header's too, ends at "\n", "\r" or "\r\n", whatever the stream's own
+    line splitting.  The body is read in the segments ``write_trace``
+    writes.  A segment is canonical when it has the step digits
+    ``write_trace`` gives its rows and, once "1" reads "0", equals a
+    template of rows of "0" cells kept per digit count and row count,
+    into which only the step digits are written.  Each column's ticks
+    then come from its strided slice, and columns ticking on more than
+    one row in 16 take their dates from one list of the segment's steps,
+    so they share its int objects.  A column that ticks on every row gets
+    no list at all: it is ``range(steps)``.  From the first segment that
+    is not canonical on, ``csv.reader`` parses each line, decoded from
+    UTF-8 (quoting and CRLF line ends included); each row is validated
+    and re-read as the line ``write_trace`` writes for it, and segments
+    of those lines go the same way, at about 10 times the cost (60k
+    steps: 140 vs 14 ms).  Lines are parsed in file order, so the first
+    bad line is the one reported, whatever is wrong with it.
 
     ``clocks`` names the clocks to keep, by default all of them.  Every
     cell of every column is validated either way, but only the kept
@@ -128,26 +139,27 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
 
     Raises TraceFormatError (with the 1-based line number) on a malformed
     header, a non-0/1 cell, a ragged row, a step index that does not match
-    the row position, a line the csv module cannot parse, or a file that
+    the row position, a line the csv module cannot parse, or a line that
     is not UTF-8.  A UTF-8 byte order mark before the header is skipped.
     """
     import csv  # here, not at the top: the write path never needs it
 
     if isinstance(clocks, str):  # would keep the clocks named by its letters
         raise TypeError(f"clocks must be clock names, not one str: {clocks!r}")
-    with _opened(source, "r") as handle:
-        line, rest = _first_line(handle.read)
-        reader = csv.reader([line])
+    with _opened(source, "rb") as read:
+        pending = bytearray()  # bytes read but not used yet
+        while b"\n" not in pending and b"\r" not in pending[:-1] and (chunk := read(io.DEFAULT_BUFFER_SIZE)):
+            pending += chunk  # until the header's line end is known: a "\r" may yet be a "\r\n"
+        line = pending.splitlines(True)[0] if pending else b""
+        del pending[:len(line)]
+        try:
+            reader = csv.reader([line.decode()])
+        except UnicodeDecodeError:
+            raise TraceFormatError("not valid UTF-8", 1) from None
         try:
             header = _read_header(reader)
         except csv.Error as exc:
             raise TraceFormatError(str(exc), reader.line_num) from None
-        read = None  # a path's body bytes come from its buffer, not through the text layer
-        if isinstance(source, (str, PathLike)) and handle.seekable():
-            handle.buffer.seek(len(line.encode("utf-8")))  # the body's first byte
-            read = handle.buffer.read
-        else:  # the body began inside the text read for the header
-            read_text = _read_on(rest, handle.read)
         wanted = set(header if clocks is None else clocks)
         dates: dict[str, list[int]] = {name: [] for name in header if name in wanted}
         columns = [(index, name, dates[name]) for index, name in enumerate(header) if name in dates]
@@ -158,11 +170,10 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
             digits = len(str(step))
             width = digits + 2 * len(header) + 1
             size = (min(step + min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // width)), 10**digits) - step) * width
-            if read is None:
-                text = read_text(size)
-                seg = text.encode("ascii", "replace")  # other text is not canonical
-            else:
-                seg = read(size)
+            while len(pending) < size and (chunk := read(size - len(pending))):
+                pending += chunk
+            chunk = b""  # its bytes are in pending now: not held twice while the segment is checked
+            seg = pending[:size] if len(pending) > size else pending  # mostly all of it, not a copy
             if not seg:
                 break
             rows = len(seg) // width
@@ -176,17 +187,12 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                 template[pos::width] = digit.replace(b"1", b"0")
             # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
             if not canonical or seg.replace(b"1", b"0") != template:
-                if read is None:  # a stream: the segment's text is read already
-                    read_text = _read_on(text, read_text)
-                else:  # go on as text from the segment's first byte: a line start, where
-                    # the decoder holds no state, so the byte offset is the text handle's own seek cookie
-                    handle.seek(handle.buffer.tell() - len(seg))
-                    read_text = handle.read
-                lines = _lines(iter(partial(read_text, io.DEFAULT_BUFFER_SIZE), ""))
-                rendered = _read_rows(csv.reader(lines), step, len(header))
+                # parse on from the segment's first byte; the rows come back rendered, so canonical
+                rendered = _read_rows(csv.reader(_lines(pending, read)), step, len(header))
                 # a segment of ``size // width`` rendered rows, at the width of the step being read, grown
                 # in place: a bytes join would hold a list of the rows and a buffer view of each at once
                 read = lambda size: reduce(iadd, islice(rendered, size // width), bytearray())
+                pending = bytearray()
                 continue
             steps: list[int] = []  # the segment's steps, made once for the dense columns
             for index, name, ticks in columns:
@@ -200,61 +206,35 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                 if 16 * ones > rows:
                     steps = steps or list(range(step, step + rows))
                     ticks.extend(steps if ones == rows else compress(steps, cells.translate(_CELL_BITS)))
-                else:  # the i-th "1" follows i earlier ones and the gaps before it
-                    gaps = map(len, cells.split(b"1"))
+                else:  # the i-th "1" follows i earlier ones and the gaps before it; bytes
+                    gaps = map(len, bytes(cells).split(b"1"))  # split twice as fast as a bytearray
                     ticks.extend(map(add, accumulate(gaps), range(step, step + ones)))
             step += rows
+            del pending[:size]
     dates.update(dict.fromkeys(full, range(step)))  # _from_sorted makes a list of every step one too
     return Trace._from_sorted(list(dates), step, dates)
 
 
-def _first_line(read: Callable[[int], str]) -> tuple[str, str]:
-    """The first line of the text ``read`` returns, and the text read past it.
+def _lines(pending: bytearray, read: Callable[[int], bytes]) -> Iterator[str]:
+    """The lines of ``pending`` and then of the bytes ``read`` returns, decoded.
 
-    The line ends at "\n", "\r" or "\r\n".  Text is read in chunks of
-    ``io.DEFAULT_BUFFER_SIZE``, so little is read past the line.
+    Lines end at "\n", "\r" or "\r\n", as ``bytes.splitlines`` splits them.
+    The bytes come ``io.DEFAULT_BUFFER_SIZE`` at a time, taken off the
+    front of ``pending`` until it is empty, then read; a line spread over
+    several chunks is joined once, from its pieces.  Each line is decoded
+    from UTF-8 as it is yielded, so one that does not decode raises
+    UnicodeDecodeError only after the lines before it are used.
     """
-    pieces = []
-    while chunk := read(io.DEFAULT_BUFFER_SIZE):
-        if chunk[-1] == "\r":  # a "\n" next would end the same line
-            chunk += read(1)
-        text = io.StringIO(chunk, newline="")
-        pieces.append(text.readline())
-        if pieces[-1][-1] in "\r\n":
-            return "".join(pieces), text.read()
-    return "".join(pieces), ""
-
-
-def _read_on(text: str, read: Callable[[int], str]) -> Callable[[int], str]:
-    """``read``, returning the characters of ``text`` before its own."""
-    head = io.StringIO(text)
-
-    def read_on(size: int) -> str:
-        got = head.read(size)
-        return got + read(size - len(got)) if len(got) < size else got
-
-    return read_on
-
-
-def _lines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines of the text ``chunks`` make, each ending at "\n", "\r" or "\r\n".
-
-    Each chunk is split here, whatever line splitting its stream has, so
-    nothing is read past a chunk to find a line end; a line spread over
-    several chunks is joined once, from its pieces.
-    """
-    head: list[str] = []  # a line not ended yet, or ended by a "\r" that a "\n" may still join
-    for chunk in chunks:
-        for line in io.StringIO(chunk, newline=""):
-            if head and head[-1][-1] == "\r" and line != "\n":
-                yield "".join(head)
-                head = []
-            head.append(line)
-            if line[-1] == "\n":
-                yield "".join(head)
-                head = []
-    if head:
-        yield "".join(head)
+    size = io.DEFAULT_BUFFER_SIZE
+    head: list[bytes] = []  # chunks not split yet: their last line may go on, or be a "\r" that a "\n" joins
+    while chunk := pending[:size] or read(size):
+        del pending[:size]
+        head.append(chunk)
+        if b"\n" in chunk or b"\r" in chunk:  # else the line goes on
+            lines = b"".join(head).splitlines(True)
+            head = [] if lines[-1].endswith(b"\n") else [lines.pop()]
+            yield from map(bytes.decode, lines)
+    yield from map(bytes.decode, b"".join(head).splitlines(True))
 
 
 def _read_header(reader: Any) -> list[str]:
@@ -297,6 +277,8 @@ def _read_rows(reader: Any, step: int, clocks: int) -> Iterator[bytes]:
             step += 1
     except Error as exc:
         raise TraceFormatError(str(exc), lines_before + reader.line_num) from None
+    except UnicodeDecodeError:  # raised by the next line, which the reader has not counted
+        raise TraceFormatError("not valid UTF-8", lines_before + reader.line_num + 1) from None
 
 
 def trace_to_string(trace: Trace) -> str:

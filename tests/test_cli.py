@@ -8,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prccsl import FAULT_TARGETS, AVParams, Trace, simulate, write_trace
-from prccsl.cli import main
+from prccsl import (
+    FAULT_TARGETS, AVParams, SpecSyntaxError, SpecValidationError, Trace, parse, simulate, write_trace,
+)
+from prccsl.cli import _build_parser, main
 from prccsl.errors import bad_utf8_position
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -282,6 +284,24 @@ def test_verify_av_bad_threshold():
     for text in ("1e-5000", "1/2"):
         with pytest.raises(SystemExit):
             main(["verify-av", "--steps", "100", "--threshold", text])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.", ".5", "1e-5", "01.50", "0." + "5" * 5000, "1/2", "+0.5", "0.5", "01.0", "0", "1.000", "0." + "5" * 4000],
+    ids=lambda text: text if len(text) < 10 else f"{len(text)}-chars",
+)
+def test_threshold_flag_and_spec_literal_accept_the_same_text(text, capsys):
+    try:
+        in_spec = parse(f"rel r: ms coincides ms prob >= {text}\n").relations[0].threshold
+    except (SpecSyntaxError, SpecValidationError):
+        in_spec = None
+    try:
+        in_flag = _build_parser().parse_args(["verify-av", "--threshold", text]).threshold
+    except SystemExit:
+        in_flag = None
+    assert in_flag == in_spec
+    assert (in_flag is None) == (text in ("1.", ".5", "1e-5", "01.50", "1/2", "+0.5") or len(text) > 5000)
 
 
 def test_bad_parameter_values_exit_two(tmp_path, capsys):

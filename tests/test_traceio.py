@@ -5,6 +5,7 @@ import re
 import tempfile
 import threading
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -75,8 +76,8 @@ def test_empty_trace_round_trip():
         ("step,a\n1,1\n", 2, "step index"),
         ("step,a\n0,1\n2,1\n", 3, "step index"),
         ("step,a\nx,1\n", 2, "step index"),
-        ("step,a\n0,1,0\n", 2, "3 fields"),
-        ("step,a,b\n0,1\n", 2, "2 fields"),
+        ("step,a\n0,1,0\n", 2, "row has 3 fields, expected 2"),
+        ("step,a,b\n0,1\n", 2, "row has 2 fields, expected 3"),
         ("step,a\n0,2\n", 2, "must be 0 or 1"),
         ("step,a\n0, 1\n", 2, "must be 0 or 1"),
         ("step,a\n0,\n", 2, "must be 0 or 1"),
@@ -138,7 +139,7 @@ def edit_line(text: str, line: int, new: str) -> str:
     [
         ("{s},1,2,0", "must be 0 or 1"),
         ("{s}9,1,0,0", "non-consecutive step index"),
-        ("{s};1;0;0", "row has 1 fields"),
+        ("{s};1;0;0", "row has 1 fields, expected 4"),
     ],
 )
 def test_errors_in_second_block_carry_absolute_line(row, fragment):
@@ -156,7 +157,7 @@ def test_errors_in_second_block_carry_absolute_line(row, fragment):
     [
         ("{s},1,2,0", "must be 0 or 1"),
         ("{s}9,1,0,0", "non-consecutive step index"),
-        ("{s};1;0;0", "row has 1 fields"),
+        ("{s};1;0;0", "row has 1 fields, expected 4"),
     ],
 )
 def test_errors_after_a_power_of_ten_carry_absolute_line(tmp_path, first, row, fragment):
@@ -419,8 +420,8 @@ def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, crlf, rows
     [
         ("{s},1,0,2", "must be 0 or 1"),  # in b, which the projection drops
         ("{s}9,1,0,0", "non-consecutive step index"),
-        ("{s},1,0,0,0", "row has 5 fields"),
-        ("{s},1,0", "row has 3 fields"),
+        ("{s},1,0,0,0", "row has 5 fields, expected 4"),
+        ("{s},1,0", "row has 3 fields, expected 4"),
     ],
 )
 def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, fallback, rows):
@@ -587,12 +588,79 @@ def test_cr_lines_on_a_stream_that_splits_at_lf_are_read_in_chunks():
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(alphabet="ab\r\n", max_size=40), size=st.integers(1, 8))
-def test_lines_split_as_a_path_does_however_the_text_is_chunked(text, size):
-    # a "\r\n" may be cut between two chunks, or between a chunk and the
-    # one character read after it
+@given(text=st.text(alphabet="ab\r\n", max_size=40), size=st.integers(1, 8), held=st.integers(0, 40))
+def test_lines_split_as_a_path_does_however_the_text_is_chunked(text, size, held):
+    # the first ``held`` bytes are pending, the rest read ``size`` at a
+    # time; a "\r\n" may be cut between two chunks, or between the pending
+    # bytes and the first chunk read
     expected = io.StringIO(text, newline="").readlines()
-    assert list(traceio._lines(text[at:at + size] for at in range(0, len(text), size))) == expected
-    stream = io.StringIO(text)
-    line, rest = traceio._first_line(lambda n: stream.read(min(n, size)))
-    assert line == "".join(expected[:1]) and line + rest + stream.read() == text
+    data = text.encode("ascii")
+    stream = io.BytesIO(data[held:])
+    pending = bytearray(data[:held])
+    assert list(traceio._lines(pending, lambda n: stream.read(min(n, size)))) == expected
+    assert not pending
+
+
+def short_reads(text: str, most: int) -> SimpleNamespace:
+    """A text stream of ``text`` whose ``read(n)`` returns at most ``most`` characters."""
+    stream = io.StringIO(text, newline="")
+    return SimpleNamespace(read=lambda n: stream.read(min(n, most)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edited_csvs(), most=st.integers(1, 8))
+def test_a_stream_of_short_reads_reads_as_the_path_does(text, most):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "t.csv")
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        for rows in (1, 3, _BLOCK_ROWS):
+            with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+                assert outcome(short_reads(text, most)) == outcome(path)
+
+
+def test_short_reads_still_fill_canonical_segments():
+    text = trace_to_string(block_trace(1001))
+    with mock.patch.object(traceio, "_read_rows", side_effect=AssertionError("row parser reached")):
+        for most in (1, 7):
+            assert trace_to_string(read_trace(short_reads(text, most))) == text
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "third,fifth,message",
+    [(b"1,1,2", b"3,1,\xff", "cell must be 0 or 1"), (b"1,1,\xff", b"3,1,2", "not valid UTF-8")],
+    ids=["cell-first", "utf8-first"],
+)
+def test_the_first_bad_line_in_file_order_is_reported(tmp_path, rows, third, fifth, message):
+    # a path, and a text stream of the same rows with the byte read as
+    # latin-1 text (so a bad cell there), fail at line 3 alike
+    data = b"step,ms,a\n0,1,0\n" + third + b"\n2,1,0\n" + fifth + b"\n4,1,0\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        for source in (path, io.StringIO(data.decode("latin-1"))):
+            with pytest.raises(TraceFormatError) as err:
+                read_trace(source)
+            assert err.value.line == 3
+        assert err.value.message == "cell must be 0 or 1"  # the stream's
+        with pytest.raises(TraceFormatError, match=re.escape(f"{message} (line 3)")):
+            read_trace(path)
+
+
+@pytest.mark.parametrize("clocks", [None, ["ms"]], ids=["all", "projected"])
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("step,ms,a\n0,1,0\n1,1,\ud800\n", 3),  # in a cell of a column the projection drops
+        ("step,ms,a\udcff\n0,1,0\n", 1),  # in the header
+        (trace_to_string(block_trace(_BLOCK_ROWS + 1000)).replace("\n9000,", "\n9000,\udfff", 1), 9002),
+    ],
+    ids=["cell", "header", "later-segment"],
+)
+def test_a_lone_surrogate_in_a_stream_is_reported_at_its_line(text, line, clocks):
+    # it has no UTF-8 encoding: it reads as a file's bytes that do not
+    # decode would, never as a UnicodeEncodeError
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(io.StringIO(text), clocks)
+    assert (err.value.message, err.value.line) == ("not valid UTF-8", line)
