@@ -125,20 +125,15 @@ def _check(
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .errors import SpecSyntaxError, bad_utf8_position
     from .exprs import clocks_of
-    from .speclang import elaborate, parse
+    from .speclang import _decode, elaborate, parse
     from .traceio import read_trace
 
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
     started = time.perf_counter()
-    try:
-        with open(args.spec, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        raise SpecSyntaxError("not valid UTF-8", *bad_utf8_position(args.spec)) from None
-    spec = parse(text)
+    with open(args.spec, "rb") as handle:
+        spec = parse(_decode(handle.read()))
     if args.samples is not None:
         spec = spec._replace(samples=args.samples)
     _, relations = elaborate(spec)
@@ -164,11 +159,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify_av(args: argparse.Namespace) -> int:
     from importlib import resources
 
-    from .speclang import elaborate, parse
+    from .speclang import _decode, elaborate, parse
 
     started = time.perf_counter()
-    text = resources.files("prccsl").joinpath("data").joinpath(_BUNDLED_SPEC).read_text("utf-8")
-    spec = parse(text)
+    spec = parse(_decode(resources.files("prccsl").joinpath("data", _BUNDLED_SPEC).read_bytes()))
     _, relations = elaborate(spec)
     if args.threshold is not None:
         relations = [rel._replace(threshold=args.threshold) for rel in relations]

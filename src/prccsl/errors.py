@@ -1,9 +1,4 @@
-"""Exception hierarchy shared by all prccsl modules."""
-
-from __future__ import annotations
-
-from io import StringIO
-from os import PathLike
+"""The exception hierarchy shared by all prccsl modules, and nothing else."""
 
 from . import _EXPORTS
 
@@ -56,20 +51,3 @@ class TraceFormatError(PrccslError):
 class FaultTargetError(PrccslError):
     """Unknown fault-injection target or invalid rate."""
 
-
-def bad_utf8_position(path: str | PathLike) -> tuple[int, int]:
-    """1-based (line, column) of the first byte of a file that is not UTF-8.
-
-    Lines end at "\n", "\r" or "\r\n" and columns count characters, as
-    in a file read in text mode; a byte order mark is not counted.  A
-    file that decodes is placed just past its last character.
-    """
-    with open(path, "rb") as raw:
-        data = raw.read()
-    try:
-        data.decode("utf-8")
-        start = len(data)
-    except UnicodeDecodeError as exc:
-        start = exc.start
-    head = StringIO(data[:start].decode("utf-8-sig"), newline=None).read()
-    return head.count("\n") + 1, len(head) - head.rfind("\n")

@@ -49,12 +49,15 @@ class _Node:
     so a node pickles as its constructor call.
     """
 
+    def __init_subclass__(cls) -> None:
+        # (field, role) pairs, operands first: DelayFor(Ref("a"), 0, "ms")
+        # names its ref, not its delay
+        cls._roles = sorted(cls.__annotations__.items(), key=lambda field: field[1] != "ClockExpr")
+
     def __post_init__(self) -> None:
-        kind, values = self.__reduce__()
-        fields = zip(self.__match_args__, kind.__annotations__.values(), values)
         clocks: set[str] = set()
-        # operands first: DelayFor(Ref("a"), 0, "ms") names its ref, not its delay
-        for name, role, value in sorted(fields, key=lambda field: field[1] != "ClockExpr"):
+        for name, role in self._roles:
+            value = getattr(self, name)
             if role == "ClockExpr":
                 if not isinstance(value, _Node):
                     raise ExpressionError(f"{name} operand is not a clock expression: {value!r}")
@@ -68,7 +71,7 @@ class _Node:
                 except DeclarationError as exc:
                     raise ExpressionError(str(exc)) from None
                 clocks.add(value)
-        object.__setattr__(self, "_hash", hash((kind, values)))
+        object.__setattr__(self, "_hash", hash(self.__reduce__()))
         object.__setattr__(self, "_clocks", frozenset(clocks))
 
     def __hash__(self) -> int:

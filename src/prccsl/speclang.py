@@ -22,6 +22,10 @@ as exact rationals.
 A parsed file is a SpecFile of Definition and RelationSpec records, all
 named tuples, so assigning to a field raises AttributeError; ``elaborate``
 builds its relations with ``_replace``.
+
+The CLI reads a spec file as bytes and ``_decode`` gives its text:
+UTF-8 with an optional byte order mark and any line end, with a byte
+that is not UTF-8 reported at its line and column.
 """
 
 from __future__ import annotations
@@ -127,6 +131,21 @@ _TOKEN_RE = re.compile(
 def _position(text: str, start: int) -> tuple[int, int]:
     """The 1-based (line, column) of offset ``start``; columns count characters."""
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+def _decode(data: bytes) -> str:
+    """The text of spec file bytes ``data``, as a text-mode read gives it.
+
+    The bytes are UTF-8; one leading byte order mark is dropped, and
+    "\r\n" and a lone "\r" are read as "\n".  A byte that is not UTF-8
+    raises SpecSyntaxError at its line and column in that text.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _decode(data[: exc.start])  # the offset counts a byte order mark
+        raise SpecSyntaxError("not valid UTF-8", *_position(head, len(head))) from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -12,7 +12,6 @@ from prccsl import (
     FAULT_TARGETS, AVParams, SpecSyntaxError, SpecValidationError, Trace, parse, simulate, write_trace,
 )
 from prccsl.cli import _build_parser, main
-from prccsl.errors import bad_utf8_position
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -138,13 +137,18 @@ def test_check_invalid_utf8_exits_two_with_its_location(tmp_path, capsys):
     assert "not valid UTF-8 (line 4)" in capsys.readouterr().err
 
 
-def test_bad_utf8_position_places_a_decodable_file_past_its_end(tmp_path):
-    path = tmp_path / "ok.prccsl"
-    path.write_bytes(b"")
-    assert bad_utf8_position(path) == (1, 1)
-    # the byte order mark is not counted; "\r\n" and a lone "\r" each end a line
-    path.write_bytes("\ufeffclock a\r\nrel\r\u03b4x".encode("utf-8"))
-    assert bad_utf8_position(path) == (3, 3)
+@pytest.mark.parametrize(
+    "data, at",
+    # the byte order mark is not counted; "\r\n" and a lone "\r" each end a
+    # line, and columns count characters
+    [(b"\xff", "(line 1, column 1)"), ("\ufeffclock a\r\nrel\r\u03b4x".encode("utf-8") + b"\xff", "(line 3, column 3)")],
+    ids=["first-byte", "bom-crlf-cr"],
+)
+def test_check_places_a_byte_that_is_not_utf8(tmp_path, capsys, data, at):
+    spec = tmp_path / "s.prccsl"
+    spec.write_bytes(data)
+    assert main(["check", "--spec", str(spec), "--trace", passing_trace(tmp_path / "ok.csv")]) == 2
+    assert f"not valid UTF-8 {at}" in capsys.readouterr().err
 
 
 def test_check_missing_file_exits_two(tmp_path, capsys):

@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prccsl import (
     DelayFor,
@@ -27,6 +29,7 @@ from prccsl import (
     parse,
     pretty_print,
 )
+from prccsl.speclang import _decode
 
 SAMPLE = """\
 # demo
@@ -184,6 +187,38 @@ def test_error_positions_are_precise():
     with pytest.raises(SpecValidationError) as err:
         parse("clock a\nrel r: a coincides nope prob >= 0.5\n")
     assert (err.value.line, err.value.column) == (2, 20)
+
+
+def _walk(text):
+    """The (line, column) just past ``text``, one character at a time."""
+    line, column, after_cr = 1, 1, False
+    for char in text:
+        if char == "\n" and after_cr:
+            pass  # the end of a "\r\n", counted at its "\r"
+        elif char in "\r\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+        after_cr = char == "\r"
+    return line, column
+
+
+_PIECES = [b"a", "\u03b4".encode("utf-8"), b"\r", b"\n", b"\r\n", b"\xff"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bom=st.booleans(), pieces=st.lists(st.sampled_from(_PIECES), max_size=12))
+def test_decode_reads_spec_bytes_as_text_mode_does(tmp_path, bom, pieces):
+    data = b"\xef\xbb\xbf" * bom + b"".join(pieces)
+    if b"\xff" not in pieces:
+        path = tmp_path / "s.prccsl"
+        path.write_bytes(data)
+        assert _decode(data) == path.read_text(encoding="utf-8-sig")
+        return
+    head = b"".join(pieces[: pieces.index(b"\xff")]).decode("utf-8")
+    with pytest.raises(SpecSyntaxError) as err:
+        _decode(data)
+    assert (err.value.message, err.value.line, err.value.column) == ("not valid UTF-8", *_walk(head))
 
 
 _SYN, _VAL = SpecSyntaxError, SpecValidationError
