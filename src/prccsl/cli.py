@@ -126,14 +126,14 @@ def _check(
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .exprs import clocks_of
-    from .speclang import _decode, elaborate, parse
+    from .speclang import elaborate, parse
     from .traceio import read_trace
 
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
     started = time.perf_counter()
     with open(args.spec, "rb") as handle:
-        spec = parse(_decode(handle.read()))
+        spec = parse(handle.read())
     if args.samples is not None:
         spec = spec._replace(samples=args.samples)
     _, relations = elaborate(spec)
@@ -159,10 +159,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify_av(args: argparse.Namespace) -> int:
     from importlib import resources
 
-    from .speclang import _decode, elaborate, parse
+    from .speclang import elaborate, parse
 
     started = time.perf_counter()
-    spec = parse(_decode(resources.files("prccsl").joinpath("data", _BUNDLED_SPEC).read_bytes()))
+    spec = parse(resources.files("prccsl").joinpath("data", _BUNDLED_SPEC).read_bytes())
     _, relations = elaborate(spec)
     if args.threshold is not None:
         relations = [rel._replace(threshold=args.threshold) for rel in relations]

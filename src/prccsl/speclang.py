@@ -23,9 +23,9 @@ A parsed file is a SpecFile of Definition and RelationSpec records, all
 named tuples, so assigning to a field raises AttributeError; ``elaborate``
 builds its relations with ``_replace``.
 
-The CLI reads a spec file as bytes and ``_decode`` gives its text:
-UTF-8 with an optional byte order mark and any line end, with a byte
-that is not UTF-8 reported at its line and column.
+``parse`` reads a spec file's bytes and its text alike: UTF-8 with an
+optional byte order mark and any line end, a byte that is not UTF-8
+reported at its line and column.  The CLI hands it the bytes it reads.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ _NUMBER = r"[0-9]+(?:\.[0-9]+)?"  # a decimal literal: no sign, no exponent
 
 # blanks and comments go before each token; the scan ends at an eof token
 _TOKEN_RE = re.compile(
-    rf"""(?:[ \t\r\n]+|\#[^\n]*)*
+    rf"""(?:[ \t\n]+|\#[^\n]*)*
       (?: (?P<number>{_NUMBER})
         | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
         | (?P<sym>>=|[(),:=])
@@ -133,19 +133,20 @@ def _position(text: str, start: int) -> tuple[int, int]:
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _decode(data: bytes) -> str:
-    """The text of spec file bytes ``data``, as a text-mode read gives it.
+def _decode(data: str | bytes) -> str:
+    """The text of spec ``data``, its file's bytes or its text, as a text-mode read gives it.
 
-    The bytes are UTF-8; one leading byte order mark is dropped, and
-    "\r\n" and a lone "\r" are read as "\n".  A byte that is not UTF-8
-    raises SpecSyntaxError at its line and column in that text.
+    Bytes are UTF-8: a byte that is not raises SpecSyntaxError at its line
+    and column in that text.  Of either, one leading byte order mark is
+    dropped, and "\r\n" and a lone "\r" are read as "\n".
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = _decode(data[: exc.start])  # the offset counts a byte order mark
-        raise SpecSyntaxError("not valid UTF-8", *_position(head, len(head))) from None
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    if not isinstance(data, str):
+        try:
+            data = str(data, "utf-8")  # a TypeError for what is not bytes either
+        except UnicodeDecodeError as exc:
+            head = _decode(data[: exc.start])  # the offset counts a byte order mark
+            raise SpecSyntaxError("not valid UTF-8", *_position(head, len(head))) from None
+    return data.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -384,9 +385,9 @@ def _describe(token: _Token) -> str:
     return repr(token.text)
 
 
-def parse(text: str) -> SpecFile:
-    """Parse and validate a complete specification text."""
-    return _Parser(text).parse_file()
+def parse(text: str | bytes) -> SpecFile:
+    """Parse and validate a spec, its file's bytes or its text, read as the CLI reads a file."""
+    return _Parser(_decode(text)).parse_file()
 
 
 # -- pretty printer -----------------------------------------------------

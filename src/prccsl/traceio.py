@@ -153,13 +153,17 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
         line = pending.splitlines(True)[0] if pending else b""
         del pending[:len(line)]
         try:
-            reader = csv.reader([line.decode()])
+            header = next(csv.reader([line.decode()]))  # one row, [] for an empty line
         except UnicodeDecodeError:
             raise TraceFormatError("not valid UTF-8", 1) from None
-        try:
-            header = _read_header(reader)
         except csv.Error as exc:
-            raise TraceFormatError(str(exc), reader.line_num) from None
+            raise TraceFormatError(str(exc), 1) from None
+        if not header or header.pop(0).removeprefix("\ufeff") != "step":  # the rest are clocks
+            raise TraceFormatError("header must start with 'step'", 1)
+        try:
+            Trace(header)
+        except DeclarationError as exc:
+            raise TraceFormatError(f"bad header: {exc}", 1) from None
         wanted = set(header if clocks is None else clocks)
         dates: dict[str, list[int]] = {name: [] for name in header if name in wanted}
         columns = [(index, name, dates[name]) for index, name in enumerate(header) if name in dates]
@@ -235,21 +239,6 @@ def _lines(pending: bytearray, read: Callable[[int], bytes]) -> Iterator[str]:
             head = [] if lines[-1].endswith(b"\n") else [lines.pop()]
             yield from map(bytes.decode, lines)
     yield from map(bytes.decode, b"".join(head).splitlines(True))
-
-
-def _read_header(reader: Any) -> list[str]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceFormatError("missing header row", 1) from None
-    if not header or header[0].removeprefix("\ufeff") != "step":
-        raise TraceFormatError("header must start with 'step'", 1)
-    clocks = header[1:]
-    try:
-        Trace(clocks)
-    except DeclarationError as exc:
-        raise TraceFormatError(f"bad header: {exc}", 1) from None
-    return clocks
 
 
 def _read_rows(reader: Any, step: int, clocks: int) -> Iterator[bytes]:

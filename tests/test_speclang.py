@@ -221,6 +221,45 @@ def test_decode_reads_spec_bytes_as_text_mode_does(tmp_path, bom, pieces):
     assert (err.value.message, err.value.line, err.value.column) == ("not valid UTF-8", *_walk(head))
 
 
+def test_a_lone_cr_ends_a_line_where_an_error_is_placed():
+    with pytest.raises(SpecValidationError) as err:
+        parse("clock a\rclock a\r")
+    assert (err.value.message, err.value.line, err.value.column) == ("duplicate name 'a'", 2, 7)
+
+
+@pytest.mark.parametrize("text", ["\ufeffclock a\n", "# c\rclock a\n", b"clock a\n", b"\xef\xbb\xbfclock a\r\n"])
+def test_parse_reads_a_byte_order_mark_a_lone_cr_and_bytes_as_the_cli_does(text):
+    assert parse(text) == parse("clock a\n") == SpecFile(clocks=("a",))
+
+
+@pytest.mark.parametrize("data", [None, 3, ["clock a\n"]])
+def test_parse_refuses_what_is_neither_text_nor_bytes(data):
+    with pytest.raises(TypeError):
+        parse(data)
+
+
+def _outcome(data):
+    """The SpecFile parsed from ``data``, or its error as (type, message, line, column)."""
+    try:
+        return parse(data)
+    except (SpecSyntaxError, SpecValidationError) as exc:
+        return type(exc), exc.message, exc.line, exc.column
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    bom=st.booleans(),
+    lines=st.lists(st.tuples(st.sampled_from(["clock a", "clock b", "# c"]), st.sampled_from(["\n", "\r", "\r\n"]))),
+)
+def test_spec_bytes_and_spec_text_parse_alike(tmp_path, bom, lines):
+    data = ("\ufeff" * bom + "".join(line + end for line, end in lines)).encode("utf-8")
+    path = tmp_path / "s.prccsl"
+    path.write_bytes(data)
+    expected = _outcome(path.read_text(encoding="utf-8-sig"))
+    assert _outcome(data) == expected
+    assert _outcome(data.decode("utf-8")) == expected
+
+
 _SYN, _VAL = SpecSyntaxError, SpecValidationError
 
 

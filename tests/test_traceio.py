@@ -69,7 +69,7 @@ def test_empty_trace_round_trip():
 @pytest.mark.parametrize(
     "text,line,fragment",
     [
-        ("", 1, "header"),
+        ("", 1, "header must start with 'step'"),
         ("time,a\n0,1\n", 1, "header"),
         ("step,a,a\n", 1, "duplicate"),
         ("step,9bad\n", 1, "clock name"),
