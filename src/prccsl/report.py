@@ -88,7 +88,8 @@ def render_text(report: dict[str, Any]) -> str:
     """Human-oriented rendering of a report dict."""
     lines = []
     trace = report["trace"]
-    source = trace.get("path") or f"simulated(seed={trace.get('seed')}, steps={trace.get('steps')})"
+    fault = f", fault={trace['fault']}" if trace.get("fault") else ""
+    source = trace.get("path") or f"simulated(seed={trace.get('seed')}, steps={trace.get('steps')}{fault})"
     lines.append(f"spec:  {report['spec']}")
     lines.append(f"trace: {source}")
     header = f"{'id':<10} {'kind':<12} {'k':>8} {'m':>8} {'probability':>14}  {'threshold':>10}  outcome"

@@ -1,19 +1,26 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import sysconfig
+from importlib import metadata
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import prccsl
 from prccsl import (
     FAULT_TARGETS, AVParams, SpecSyntaxError, SpecValidationError, Trace, parse, simulate, write_trace,
 )
 from prccsl.cli import _build_parser, main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the package under test: the source tree or an installed copy, whichever was imported
+SRC = Path(prccsl.__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
+DENSE_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "dense.prccsl"
 
 PASSING_SPEC = """\
 clock a
@@ -121,9 +128,15 @@ def test_check_spec_error_exits_two(tmp_path, capsys):
 
 def test_check_bad_trace_exits_two(tmp_path, capsys):
     spec = write(tmp_path / "s.prccsl", PASSING_SPEC)
-    trace = write(tmp_path / "t.csv", "step,a\n0,7\n")
-    assert main(["check", "--spec", spec, "--trace", trace]) == 2
-    assert "line 2" in capsys.readouterr().err
+    trace = tmp_path / "t.csv"
+    for data, line in [
+        (b"step,a\n0,7\n", 2),
+        (b"step,ms,a,b,z\n0,1,1,1,0\n1,1,0,0,7\n", 3),  # in a column the spec does not name
+        (b"step,ms,a\n0,1,0\n1,1,2\n2,1,0\n3,1,\xff\n", 3),  # the first bad line, not the byte on line 5
+    ]:
+        trace.write_bytes(data)
+        assert main(["check", "--spec", spec, "--trace", str(trace)]) == 2
+        assert f"(line {line})" in capsys.readouterr().err
 
 
 def test_check_invalid_utf8_exits_two_with_its_location(tmp_path, capsys):
@@ -176,6 +189,16 @@ def test_simulate_writes_csv_and_digest(tmp_path, capsys):
     assert "500 steps" in digest and "ms: 500 ticks" in digest
     header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("step,ms,cmrTrig,")
+    # the written files carry the locked digests of tests/test_golden.py
+    digests = json.loads((DATA / "trace_digests.json").read_text(encoding="utf-8"))
+    faulty = ["--steps", str(digests["fault_steps"]), "--seed", str(digests["fault_seed"]), "--fault"]
+    for argv, digest in [
+        (["--steps", "999", "--seed", "2"], digests["short"]["999"]["2"]),
+        ([*faulty, "exec-R7:0.2"], digests["faults"]["exec-R7"]["0.2"]),
+        ([*faulty, "periodic-R1:0.2"], digests["faults"]["periodic-R1"]["0.2"]),
+    ]:
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_then_check_round_trip(tmp_path):
@@ -254,7 +277,7 @@ def test_verify_av_threshold_one_flips_jittered_relations(capsys):
 
 
 def test_verify_av_fault_fails_its_golden_relations(capsys):
-    golden = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text(encoding="utf-8"))
+    golden = json.loads((DATA / "golden_verdicts.json").read_text(encoding="utf-8"))
     code = main(["verify-av", "--seed", "42", "--fault", "exec-R7:1.0", "--format", "json"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
@@ -263,10 +286,16 @@ def test_verify_av_fault_fails_its_golden_relations(capsys):
     assert not_valid == golden["faults"]["exec-R7"]["1.0"]
 
 
+def test_verify_av_text_report_names_the_fault(capsys):
+    assert main(["verify-av", "--steps", "2000", "--fault", "exec-R7:1"]) == 1
+    assert "\ntrace: simulated(seed=42, steps=2000, fault=exec-R7:1.0)\n" in capsys.readouterr().out
+
+
 def test_verify_av_short_run_reports_vacuous(capsys):
     code = main(["verify-av", "--steps", "100"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "\ntrace: simulated(seed=42, steps=100)\n" in out
     assert "vacuous" in out and "warning" in out
     assert ", 0 fail," in out
 
@@ -354,14 +383,49 @@ print(code, *sorted(sys.modules))
 """
 
 
-def loaded_modules(argv):
+def run_fresh(*argv, stdin=None):
+    """``argv`` run in a fresh process that imports the package under test."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    run = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
-        capture_output=True, text=True, encoding="utf-8", env=env, check=True,
-    )
-    code, *modules = run.stdout.splitlines()[-1].split()
+    return subprocess.run(argv, input=stdin, capture_output=True, env=env, timeout=120)
+
+
+def loaded_modules(argv):
+    run = run_fresh(sys.executable, "-c", _PROBE, *argv)
+    assert run.returncode == 0, run.stderr
+    code, *modules = run.stdout.decode().splitlines()[-1].split()
     return int(code), set(modules)
+
+
+def test_the_cli_module_runs_as_a_script():
+    # python -m runs the __main__ guard, which the console script skips
+    run = run_fresh(sys.executable, "-m", "prccsl.cli", "verify-av", "--steps", "2000")
+    assert run.returncode in (0, 1), run.stderr
+
+
+def test_the_installed_console_script_runs():
+    try:
+        dist = metadata.distribution("prccsl")
+    except metadata.PackageNotFoundError:
+        pytest.skip("no prccsl distribution is installed (a source-tree run)")
+    scripts = dist.entry_points.select(group="console_scripts", name="prccsl")
+    assert [script.value for script in scripts] == ["prccsl.cli:main"]
+    run = run_fresh(str(Path(sysconfig.get_path("scripts")) / "prccsl"), "verify-av", "--steps", "2000")
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_check_reads_a_trace_through_a_pipe(tmp_path, capsys):
+    # 10001 steps cross every reader segment boundary up to 10**4, and the
+    # dense spec runs all five relation kinds and all four operators
+    trace = tmp_path / "t.csv"
+    assert main(["simulate", "--steps", "10001", "--seed", "3", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    argv = ["check", "--spec", str(DENSE_SPEC), "--format", "json", "--trace"]
+    code = main([*argv, str(trace)])
+    assert code in (0, 1)
+    piped = run_fresh(sys.executable, "-m", "prccsl.cli", *argv, "/dev/stdin", stdin=trace.read_bytes())
+    assert piped.returncode == code, piped.stderr
+    assert json.loads(piped.stdout)["relations"] == json.loads(capsys.readouterr().out)["relations"]
 
 
 def test_importing_cli_loads_no_subcommand_module():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import prccsl
 from prccsl import (
     DelayFor,
     ExpressionError,
@@ -217,7 +218,7 @@ def test_nodes_are_frozen_dataclasses(node, fields):
     assert eval(repr(node)) == node
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+SRC = Path(prccsl.__file__).resolve().parents[1]
 _NODE = 'Sup(DelayFor(PeriodicOn(Ref("a"), 2), 1, Ref("ms")), Inf(Ref("a"), Ref("b")))'
 _IMPORTS = "import copy, pickle, sys\nfrom prccsl import DelayFor, Inf, PeriodicOn, Ref, Sup\n"
 

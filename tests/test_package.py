@@ -10,7 +10,7 @@ import pytest
 
 import prccsl
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+SRC = Path(prccsl.__file__).resolve().parents[1]
 
 
 def test_every_exported_name_is_its_home_modules_object():
