@@ -19,6 +19,7 @@ engine or the report; ``check`` does not load the simulator and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Sequence
@@ -157,19 +158,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_av(args: argparse.Namespace) -> int:
-    from importlib import resources
-
-    from .speclang import elaborate, parse
+    from .speclang import elaborate, format_threshold, parse
 
     started = time.perf_counter()
-    spec = parse(resources.files("prccsl").joinpath("data", _BUNDLED_SPEC).read_bytes())
+    with open(os.path.join(os.path.dirname(__file__), "data", _BUNDLED_SPEC), "rb") as handle:
+        spec = parse(handle.read())
     _, relations = elaborate(spec)
     if args.threshold is not None:
         relations = [rel._replace(threshold=args.threshold) for rel in relations]
     steps = next(n for n in (args.steps, spec.steps, _DEFAULT_STEPS) if n is not None)
     trace = _simulate(args.seed, steps, args.fault)
     fault = None if args.fault is None else f"{args.fault.target}:{args.fault.rate}"
-    threshold = None if args.threshold is None else str(args.threshold)
+    threshold = None if args.threshold is None else format_threshold(args.threshold)
     trace_info = {"seed": args.seed, "steps": steps, "fault": fault}
     settings = {"steps": steps, "samples": spec.samples, "threshold": threshold}
     return _check(args, started, f"{_BUNDLED_SPEC} (bundled)", relations, trace, trace_info, settings)

@@ -11,9 +11,10 @@ step index r.  The explicit step column is redundant but catches
 truncated or reordered files cheaply.
 
 Both directions work in bytes: a path is opened in binary, a text
-stream's text is encoded to UTF-8 as it is read, and the writer's ASCII
-bytes are decoded as they are written to one.  So a path, a pipe and a
-text stream go through one read loop and one write loop.
+stream's text is encoded to UTF-8 as it is read, each line end read as
+"\n", and the writer's ASCII bytes are decoded as they are written to
+one.  So a path, a pipe and a text stream go through one read loop and
+one write loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import io
 from bisect import bisect_left
 from contextlib import contextmanager
 from functools import reduce
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress, islice
 from operator import add, iadd
 from os import PathLike
 from typing import IO, Any, Callable, Iterable, Iterator
@@ -41,20 +42,42 @@ _CELL_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @contextmanager
-def _opened(target: Source, mode: str) -> Iterator[Callable[[Any], Any]]:
-    """A bytes ``read(size)`` (mode "rb") or ``write(data)`` (mode "wb") on ``target``.
+def _opened(target: Source, mode: str) -> Iterator[Any]:
+    """A bytes ``write(data)`` (mode "wb") or a buffered bytes reader (mode "rb") on ``target``.
 
     A path is opened in binary.  A text stream's text is encoded to UTF-8
     as it is read, a lone surrogate to bytes that do not decode, so it is
     reported as a file's bad byte is; ASCII bytes written are decoded.
     """
     if isinstance(target, (str, PathLike)):
-        with open(target, mode) as handle:
-            yield handle.read if mode == "rb" else handle.write
-    elif mode == "rb":
-        yield lambda size: target.read(size).encode("utf-8", "surrogatepass")
-    else:
+        with open(target, mode, buffering=-1 if mode == "wb" else 0) as handle:  # a reader buffers once
+            yield handle.write if mode == "wb" else io.BufferedReader(_LineEnds(handle.read))
+    elif mode == "wb":
         yield lambda data: target.write(data.decode("ascii"))
+    else:  # a character is at most 4 bytes
+        yield io.BufferedReader(_LineEnds(lambda size: target.read(max(1, size // 4)).encode("utf-8", "surrogatepass")))
+
+
+class _LineEnds(io.RawIOBase):
+    """The bytes ``read(size)`` returns, each "\r\n" and lone "\r" read as "\n"."""
+
+    def __init__(self, read: Callable[[int], bytes]) -> None:
+        self._read, self._rest, self._cr = read, b"", False  # _cr: the last byte read was "\r"
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int:
+        data = self._rest  # what a small buffer did not take: a text stream's bytes may outnumber its characters
+        while not data and (data := self._read(len(buffer))):  # a read of the "\n" of a split "\r\n" gives none
+            if self._cr and data.startswith(b"\n"):
+                data = data[1:]
+            self._cr = data.endswith(b"\r")
+            if b"\r" in data:  # a find of one byte, which costs about 1% of a "\r\n" replace
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        size = min(len(buffer), len(data))
+        buffer[:size], self._rest = data[:size], data[size:]
+        return size
 
 
 def write_trace(trace: Trace, sink: Source) -> None:
@@ -113,23 +136,24 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
     """Parse a trace CSV, validating its structure.
 
     A path (a pipe too) and a text stream are read alike, as bytes: a
-    path in binary, a stream's text encoded to UTF-8.  Every line, the
-    header's too, ends at "\n", "\r" or "\r\n", whatever the stream's own
-    line splitting.  The body is read in the segments ``write_trace``
-    writes.  A segment is canonical when it has the step digits
-    ``write_trace`` gives its rows and, once "1" reads "0", equals a
+    path in binary, a stream's text encoded to UTF-8.  Each "\r\n" and
+    lone "\r" is read as "\n" as the bytes come in, so a CRLF or CR file
+    reads as its LF copy does.  The body is read in the segments
+    ``write_trace`` writes.  A segment is canonical when it has the step
+    digits ``write_trace`` gives its rows and, once "1" reads "0", equals a
     template of rows of "0" cells kept per digit count and row count,
     into which only the step digits are written.  Each column's ticks
     then come from its strided slice, and columns ticking on more than
     one row in 16 take their dates from one list of the segment's steps,
     so they share its int objects.  A column that ticks on every row gets
     no list at all: it is ``range(steps)``.  From the first segment that
-    is not canonical on, ``csv.reader`` parses each line, decoded from
-    UTF-8 (quoting and CRLF line ends included); each row is validated
-    and re-read as the line ``write_trace`` writes for it, and segments
-    of those lines go the same way, at about 10 times the cost (60k
-    steps: 140 vs 14 ms).  Lines are parsed in file order, so the first
-    bad line is the one reported, whatever is wrong with it.
+    is not canonical on (a quoted cell, a last line without "\n", a bad
+    row), ``csv.reader`` parses each line, decoded from UTF-8; each row
+    is validated and re-read as the line ``write_trace`` writes for it,
+    and segments of those lines go the same way, at about 8 times the
+    cost (60k steps: 160 ms from a quoted first row, against 20 ms).
+    Lines are parsed in file order, so the first bad line is the one
+    reported, whatever is wrong with it.
 
     ``clocks`` names the clocks to keep, by default all of them.  Every
     cell of every column is validated either way, but only the kept
@@ -146,12 +170,8 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
 
     if isinstance(clocks, str):  # would keep the clocks named by its letters
         raise TypeError(f"clocks must be clock names, not one str: {clocks!r}")
-    with _opened(source, "rb") as read:
-        pending = bytearray()  # bytes read but not used yet
-        while b"\n" not in pending and b"\r" not in pending[:-1] and (chunk := read(io.DEFAULT_BUFFER_SIZE)):
-            pending += chunk  # until the header's line end is known: a "\r" may yet be a "\r\n"
-        line = pending.splitlines(True)[0] if pending else b""
-        del pending[:len(line)]
+    with _opened(source, "rb") as stream:
+        line = stream.readline()
         try:
             header = next(csv.reader([line.decode()]))  # one row, [] for an empty line
         except UnicodeDecodeError:
@@ -169,15 +189,13 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
         columns = [(index, name, dates[name]) for index, name in enumerate(header) if name in dates]
         full = set(dates)  # the kept clocks that ticked on every row so far; their lists wait empty
         templates: dict[tuple[int, int], bytearray] = {}  # (digits, rows) -> rows of "0" cells
-        step = 0
+        read, step = stream.read, 0
         while True:
+            seg = cells = b""  # the last segment is not held while the next is read
             digits = len(str(step))
             width = digits + 2 * len(header) + 1
             size = (min(step + min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // width)), 10**digits) - step) * width
-            while len(pending) < size and (chunk := read(size - len(pending))):
-                pending += chunk
-            chunk = b""  # its bytes are in pending now: not held twice while the segment is checked
-            seg = pending[:size] if len(pending) > size else pending  # mostly all of it, not a copy
+            seg = read(size)
             if not seg:
                 break
             rows = len(seg) // width
@@ -191,12 +209,12 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                 template[pos::width] = digit.replace(b"1", b"0")
             # equal with "1" read as "0": whole rows, commas, newlines, 0/1 cells
             if not canonical or seg.replace(b"1", b"0") != template:
-                # parse on from the segment's first byte; the rows come back rendered, so canonical
-                rendered = _read_rows(csv.reader(_lines(pending, read)), step, len(header))
+                # parse on from the segment's first byte, its last line completed; rows come back canonical
+                lines = map(bytes.decode, chain(io.BytesIO(seg + stream.readline()), stream))
+                rendered = _read_rows(csv.reader(lines), step, len(header))
                 # a segment of ``size // width`` rendered rows, at the width of the step being read, grown
                 # in place: a bytes join would hold a list of the rows and a buffer view of each at once
                 read = lambda size: reduce(iadd, islice(rendered, size // width), bytearray())
-                pending = bytearray()
                 continue
             steps: list[int] = []  # the segment's steps, made once for the dense columns
             for index, name, ticks in columns:
@@ -214,31 +232,8 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
                     gaps = map(len, bytes(cells).split(b"1"))  # split twice as fast as a bytearray
                     ticks.extend(map(add, accumulate(gaps), range(step, step + ones)))
             step += rows
-            del pending[:size]
     dates.update(dict.fromkeys(full, range(step)))  # _from_sorted makes a list of every step one too
     return Trace._from_sorted(list(dates), step, dates)
-
-
-def _lines(pending: bytearray, read: Callable[[int], bytes]) -> Iterator[str]:
-    """The lines of ``pending`` and then of the bytes ``read`` returns, decoded.
-
-    Lines end at "\n", "\r" or "\r\n", as ``bytes.splitlines`` splits them.
-    The bytes come ``io.DEFAULT_BUFFER_SIZE`` at a time, taken off the
-    front of ``pending`` until it is empty, then read; a line spread over
-    several chunks is joined once, from its pieces.  Each line is decoded
-    from UTF-8 as it is yielded, so one that does not decode raises
-    UnicodeDecodeError only after the lines before it are used.
-    """
-    size = io.DEFAULT_BUFFER_SIZE
-    head: list[bytes] = []  # chunks not split yet: their last line may go on, or be a "\r" that a "\n" joins
-    while chunk := pending[:size] or read(size):
-        del pending[:size]
-        head.append(chunk)
-        if b"\n" in chunk or b"\r" in chunk:  # else the line goes on
-            lines = b"".join(head).splitlines(True)
-            head = [] if lines[-1].endswith(b"\n") else [lines.pop()]
-            yield from map(bytes.decode, lines)
-    yield from map(bytes.decode, b"".join(head).splitlines(True))
 
 
 def _read_rows(reader: Any, step: int, clocks: int) -> Iterator[bytes]:

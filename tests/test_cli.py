@@ -319,6 +319,13 @@ def test_verify_av_bad_threshold():
             main(["verify-av", "--steps", "100", "--threshold", text])
 
 
+@pytest.mark.parametrize("text, shown", [("0.95", "0.95"), ("0.950", "0.95"), ("1", "1"), ("0.0625", "0.0625")])
+def test_verify_av_reports_the_threshold_as_its_exact_decimal(text, shown, capsys):
+    code = main(["verify-av", "--steps", "200", "--threshold", text, "--format", "json"])
+    assert code in (0, 1)
+    assert json.loads(capsys.readouterr().out)["settings"]["threshold"] == shown
+
+
 @pytest.mark.parametrize(
     "text",
     ["1.", ".5", "1e-5", "01.50", "0." + "5" * 5000, "1/2", "+0.5", "0.5", "01.0", "0", "1.000", "0." + "5" * 4000],
@@ -389,8 +396,8 @@ def run_fresh(*argv, stdin=None):
     return subprocess.run(argv, input=stdin, capture_output=True, env=env, timeout=120)
 
 
-def loaded_modules(argv):
-    run = run_fresh(sys.executable, "-c", _PROBE, *argv)
+def loaded_modules(argv, *options):
+    run = run_fresh(sys.executable, *options, "-c", _PROBE, *argv)
     assert run.returncode == 0, run.stderr
     code, *modules = run.stdout.decode().splitlines()[-1].split()
     return int(code), set(modules)
@@ -459,6 +466,14 @@ def test_each_subcommand_imports_only_its_own_modules(tmp_path, command, needed,
     assert code in (0, 1)
     assert needed <= modules
     assert not_loaded.isdisjoint(modules), sorted(not_loaded & modules)
+
+
+def test_verify_av_reads_the_bundled_corpus_without_importlib_resources():
+    # it costs about 22 ms on a clean interpreter; -S, since a .pth file
+    # that site runs may import it anyway
+    code, modules = loaded_modules(["verify-av", "--steps", "200"], "-S")
+    assert code in (0, 1)
+    assert "importlib.resources" not in modules and "prccsl.simulator" in modules
 
 
 def test_usage_error_exits_two():

@@ -5,6 +5,7 @@ import re
 import tempfile
 import threading
 import tracemalloc
+from itertools import chain
 from types import SimpleNamespace
 from unittest import mock
 
@@ -85,6 +86,10 @@ def test_empty_trace_round_trip():
         ('step,a,b\n0,"0,1",\n', 2, "must be 0 or 1"),
         ("step,a,b\n0,00,\n", 2, "must be 0 or 1"),
         ('step,a,b\n0,"0\n",1\n', 3, "must be 0 or 1"),  # the record ends on line 3
+        # a line end in a quoted value is read as "\n", as every line end is
+        ('step,ms,"a\r\n"\n0,1,1\n', 1, "invalid clock name 'a\\n'"),
+        ('step,ms,"a\r"\n0,1,1\n', 1, "invalid clock name 'a\\n'"),
+        ('step,ms\n"0\r\n",1\n', 3, "step index '0\\n', expected 0"),
         pytest.param("step,ms,a\n0,1," + "x" * 200000 + "\n", 2, "field limit", id="over-long-field"),
         pytest.param("step," + "x" * 200000 + "\n0,1\n", 1, "field limit", id="over-long-header-field"),
     ],
@@ -134,6 +139,22 @@ def edit_line(text: str, line: int, new: str) -> str:
     return "\n".join(lines)
 
 
+def mixed_ends(text: str, first: int = 0) -> str:
+    """``text`` with its "\n" line ends read in turn as "\n", "\r\n" and "\r", from the ``first``."""
+    *lines, last = text.split("\n")
+    return "".join(line + ("\n", "\r\n", "\r")[(first + i) % 3] for i, line in enumerate(lines)) + last
+
+
+def quote_cell(text: str, line: int) -> str:
+    """``text`` with the first cell after the step of ``line`` quoted, as a spreadsheet may write it."""
+    return edit_line(text, line, re.sub(r",(\d)", r',"\1"', text.split("\n")[line - 1], count=1))
+
+
+def row_parser_spy():
+    """A patch that records the calls of ``traceio._read_rows`` and lets them run."""
+    return mock.patch.object(traceio, "_read_rows", wraps=traceio._read_rows)
+
+
 @pytest.mark.parametrize(
     "row,fragment",
     [
@@ -172,15 +193,20 @@ def test_errors_after_a_power_of_ten_carry_absolute_line(tmp_path, first, row, f
         assert fragment in str(err.value)
 
 
-def test_canonical_text_never_reaches_the_row_parser(tmp_path):
+@pytest.mark.parametrize("ends", ["lf", "crlf", "cr", "mixed"])
+def test_canonical_text_never_reaches_the_row_parser(tmp_path, ends):
+    # every line end is read as "\n" before rows are compared, so CRLF,
+    # lone-CR and mixed copies of a canonical file are canonical too
     text = trace_to_string(block_trace(10001))
+    copy = {"lf": text, "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"), "mixed": mixed_ends(text)}[ends]
     path = tmp_path / "t.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(copy.encode("ascii"))
     with mock.patch.object(traceio, "_read_rows", side_effect=AssertionError("row parser reached")):
         for rows in (3, 1000, _BLOCK_ROWS):
             with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
                 assert trace_to_string(read_trace(path)) == text
-                assert trace_to_string(read_trace(io.StringIO(text))) == text
+                assert trace_to_string(read_trace(io.StringIO(copy))) == text
+                assert trace_to_string(read_trace(io.StringIO(copy, newline=""))) == text
 
 
 def test_invalid_utf8_reports_its_line(tmp_path):
@@ -286,7 +312,7 @@ def edited_csvs(draw):
     dates = {name: draw(st.lists(st.integers(0, max(steps - 1, 0)), max_size=steps)) for name in clocks}
     text = trace_to_string(Trace.from_dates(clocks, steps, dates))
     for _ in range(draw(st.integers(0, 2))):
-        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "crlf"]))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "crlf", "cr", "mixed"]))
         at = draw(st.integers(0, len(text)))
         char = draw(st.sampled_from(list('012,\n\r"\u00e9 ')))
         text = {
@@ -295,6 +321,8 @@ def edited_csvs(draw):
             "delete": text[:at] + text[at + 1:],
             "truncate": text[:at],
             "crlf": text.replace("\n", "\r\n"),
+            "cr": text.replace("\n", "\r"),
+            "mixed": mixed_ends(text, at),
         }[edit]
     return text
 
@@ -376,45 +404,59 @@ def sources(tmp_path, text):
 
 
 @pytest.mark.parametrize("rows", [3, _BLOCK_ROWS])
-@pytest.mark.parametrize("crlf", [None, 2, 700], ids=["canonical", "crlf", "crlf-from-line-700"])
+@pytest.mark.parametrize(
+    "edit, at",
+    [(None, None), ("crlf", 2), ("crlf", 700), ("quoted", 700)],
+    ids=["canonical", "crlf", "crlf-from-line-700", "quoted-from-line-700"],
+)
 @pytest.mark.parametrize("clocks", [None, ["b", "ms"]], ids=["all", "projected"])
-def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, crlf, rows):
+def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, edit, at, rows):
     # ms ticks on every row: a range from a path and from a stream, on the
-    # canonical path and after the csv.reader fallback; a and b stay lists
+    # canonical path and after the csv.reader fallback, which a quoted
+    # cell takes and CRLF rows do not; a and b stay lists
     steps = 1001
     text = trace_to_string(block_trace(steps))
-    if crlf is not None:
+    if edit == "crlf":
         lines = text.split("\n")
-        text = "\n".join(lines[: crlf - 1] + [line + "\r" for line in lines[crlf - 1:-1]] + [""])
+        text = "\n".join(lines[: at - 1] + [line + "\r" for line in lines[at - 1:-1]] + [""])
+    elif edit == "quoted":
+        text = quote_cell(text, at)
     with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
         for source in sources(tmp_path, text):
-            back = read_trace(source, clocks)
+            with row_parser_spy() as spy:
+                back = read_trace(source, clocks)
+            assert spy.called == (edit == "quoted")
             assert type(back.dates("ms")) is range and back.dates("ms") == range(steps)
             assert type(back.dates("b")) is list and back.dates("b") == [5]
 
 
 @pytest.mark.parametrize("rows", [3, _BLOCK_ROWS])
-@pytest.mark.parametrize("crlf", [False, True], ids=["canonical", "crlf"])
+@pytest.mark.parametrize("edit", [None, "crlf", "quoted"], ids=["canonical", "crlf", "quoted"])
 @pytest.mark.parametrize("silent", [1, 2, 500, 1001])
-def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, crlf, rows):
+def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, edit, rows):
     # ms ticks on every row but step ``silent - 1``, so it is a list, at
-    # the first row, in the first segment, in a middle one or the last
+    # the first row, in the first segment, in a middle one or the last;
+    # a quoted cell on the first row sends every row through csv.reader
     steps = 1001
     text = trace_to_string(block_trace(steps))
     line = silent + 1
     index, _, rest = text.split("\n")[line - 1].split(",", 2)
     text = edit_line(text, line, f"{index},0,{rest}")
-    if crlf:
+    if edit == "crlf":
         text = text.replace("\n", "\r\n")
+    elif edit == "quoted":
+        text = quote_cell(text, 2)
     expected = [step for step in range(steps) if step != silent - 1]
     with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
         for source in sources(tmp_path, text):
-            back = read_trace(source, ["ms"])
+            with row_parser_spy() as spy:
+                back = read_trace(source, ["ms"])
+            assert spy.called == (edit == "quoted")
             assert type(back.dates("ms")) is list and back.dates("ms") == expected
 
 
 @pytest.mark.parametrize("rows", [7, _BLOCK_ROWS])
-@pytest.mark.parametrize("fallback", [False, True], ids=["canonical", "after-fallback"])
+@pytest.mark.parametrize("earlier_edit", [None, "crlf", "quoted"], ids=["canonical", "after-crlf-row", "after-quoted-cell"])
 @pytest.mark.parametrize(
     "row,fragment",
     [
@@ -424,14 +466,18 @@ def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, crlf, rows
         ("{s},1,0", "row has 3 fields, expected 4"),
     ],
 )
-def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, fallback, rows):
+def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, earlier_edit, rows):
     line = 2 * _BLOCK_ROWS + 5
     text = edit_line(trace_to_string(block_trace(3 * _BLOCK_ROWS)), line, row.format(s=line - 2))
-    if fallback:  # a CRLF row a segment earlier sends every later row through csv.reader
-        earlier = line - _BLOCK_ROWS
+    earlier = line - _BLOCK_ROWS
+    if earlier_edit == "crlf":  # a CRLF row a segment earlier is read as the LF row it equals
         text = edit_line(text, earlier, text.split("\n")[earlier - 1] + "\r")
-    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+    elif earlier_edit == "quoted":  # a quoted cell a segment earlier sends every later row through csv.reader
+        text = quote_cell(text, earlier)
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows), row_parser_spy() as spy:
         full = outcomes_of(tmp_path, text)
+        # the bad row's segment always reaches csv.reader; only the quoted cell's comes first
+        assert spy.call_args_list and all((call.args[1] < earlier - 1) == (earlier_edit == "quoted") for call in spy.call_args_list)
         assert all(at == line and fragment in message for message, at in full)
         assert outcomes_of(tmp_path, text, ["ms", "a"]) == full
 
@@ -516,20 +562,25 @@ def test_segments_of_a_wide_trace_are_bounded_by_bytes(tmp_path):
     assert [back.dates(name) for name in names] == [head[name] for name in names]
 
 
-def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path):
-    # CRLF sends every row through csv.reader; a clock ticking on every
-    # row must not become a list of every step on the way
+@pytest.mark.parametrize("edit", ["crlf", "quoted"])
+def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path, edit):
+    # a quoted cell on the first row sends every row through csv.reader,
+    # while CRLF rows are read in bulk; a clock ticking on every row must
+    # not become a list of every step on either way
     steps = 100_000
     original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
-    path = tmp_path / "crlf.csv"
-    path.write_bytes(trace_to_string(original).replace("\n", "\r\n").encode("ascii"))
+    text = trace_to_string(original)
+    path = tmp_path / "t.csv"
+    path.write_bytes((text.replace("\n", "\r\n") if edit == "crlf" else quote_cell(text, 2)).encode("ascii"))
     for clocks in ({"ms"}, None):
-        tracemalloc.start()
-        try:
-            back = read_trace(path, clocks=clocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with row_parser_spy() as spy:
+            tracemalloc.start()
+            try:
+                back = read_trace(path, clocks=clocks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert spy.called == (edit == "quoted")
         assert isinstance(back.dates("ms"), range) and len(back) == steps
         assert peak < 3 << 20, f"peak {peak} bytes"
     assert back.dates("a") == original.dates("a")
@@ -538,28 +589,29 @@ def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path):
 def test_the_row_parser_holds_a_segment_once(tmp_path):
     # each segment of rows that csv.reader parses is rendered into one
     # bytearray, not joined from a list of row strings and then encoded,
-    # and text is read on in chunks of 8 KiB, not of a whole segment, each
-    # of which io.StringIO stores at 4 bytes a character: on Python 3.10
-    # to 3.13 the peaks were 0.93-0.99 MiB (CRLF) and 6.5-6.6 MiB (one
-    # quoted cell) before, and are 0.52-0.53 and 2.3 MiB
+    # and lines are read on one at a time, not a whole segment at once;
+    # the CRLF copy is read in bulk.  On Python 3.11 the peaks are 0.47
+    # MiB (CRLF), 0.38 MiB (a quoted first row) and 2.8 MiB (a quoted
+    # cell in the wide trace)
     steps = 30_000
     original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
     names = [f"c{i}" for i in range(40)]
     wide = Trace.from_dates(names, 10_000, {name: range(i, 10_000, 50 + i) for i, name in enumerate(names)})
-    lines = trace_to_string(wide).split("\n")
-    lines[5000] = re.sub(r",(\d)", r',"\1"', lines[5000], count=1)  # from the segment of steps 1000 to 9191 on
     for trace, text, bound in (
         (original, trace_to_string(original).replace("\n", "\r\n"), 0.65),
-        (wide, "\n".join(lines), 4),
+        (original, quote_cell(trace_to_string(original), 2), 0.65),
+        (wide, quote_cell(trace_to_string(wide), 5001), 4),  # from the segment of steps 1000 to 9191 on
     ):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("ascii"))
-        tracemalloc.start()
-        try:
-            back = read_trace(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with row_parser_spy() as spy:
+            tracemalloc.start()
+            try:
+                back = read_trace(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert spy.called == ('"' in text)
         assert [back.dates(name) for name in back.clocks] == [trace.dates(name) for name in trace.clocks]
         assert peak < bound * (1 << 20), f"peak {peak} bytes"
 
@@ -590,15 +642,27 @@ def test_cr_lines_on_a_stream_that_splits_at_lf_are_read_in_chunks():
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(alphabet="ab\r\n", max_size=40), size=st.integers(1, 8), held=st.integers(0, 40))
 def test_lines_split_as_a_path_does_however_the_text_is_chunked(text, size, held):
-    # the first ``held`` bytes are pending, the rest read ``size`` at a
-    # time; a "\r\n" may be cut between two chunks, or between the pending
-    # bytes and the first chunk read
-    expected = io.StringIO(text, newline="").readlines()
-    data = text.encode("ascii")
-    stream = io.BytesIO(data[held:])
-    pending = bytearray(data[:held])
-    assert list(traceio._lines(pending, lambda n: stream.read(min(n, size)))) == expected
-    assert not pending
+    # bytes (as from a pipe) and text are read ``size`` at a time, so a
+    # "\r\n" may be cut between two reads; each line end is read as "\n".
+    # The first ``held`` bytes are read whole and their last line completed,
+    # as the csv.reader fallback reads on from a segment
+    expected = [re.sub(r"\r\n?$", "\n", line) for line in io.StringIO(text, newline="").readlines()]
+    data = io.BytesIO(text.encode("ascii"))
+    with traceio._opened(short_reads(text, size), "rb") as from_text:
+        for stream in (io.BufferedReader(traceio._LineEnds(lambda n: data.read(min(n, size)))), from_text):
+            lines = chain(io.BytesIO(stream.read(held) + stream.readline()), stream)
+            assert [line.decode() for line in lines] == expected
+
+
+def test_a_character_wider_than_the_buffer_waits_for_the_next_read():
+    # a text stream's character may encode to more bytes than the reader
+    # asks for; the bytes it does not take come first in its next read
+    text = "\u00e9\r\n\u20ac\r\U0001f600\ud800\n"
+    with traceio._opened(io.StringIO(text, newline=""), "rb") as stream:
+        data, buffer = bytearray(), bytearray(1)
+        while size := stream.raw.readinto(buffer):
+            data += buffer[:size]
+    assert bytes(data) == "\u00e9\n\u20ac\n\U0001f600\ud800\n".encode("utf-8", "surrogatepass")
 
 
 def short_reads(text: str, most: int) -> SimpleNamespace:
