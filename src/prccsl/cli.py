@@ -19,6 +19,8 @@ engine or the report; ``check`` does not load the simulator and
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 import time
@@ -176,6 +178,10 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # at exit, move every object out of the collector's reach: the system
+    # frees them anyway, and the final collections would take about 10 ms
+    atexit.unregister(gc.freeze)  # registered once per process
+    atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,8 +9,9 @@ Expressions derive new clocks from existing ones:
 * ``Inf(a, b)``              the slowest clock faster than both operands
 * ``Sup(a, b)``              the fastest clock slower than both operands
 
-Each kind is a frozen dataclass that only declares its fields; their
-base class checks, hashes, compares and pickles the nodes.
+Each kind is a plain frozen class that only declares its fields; their
+base class checks, hashes, compares, prints and pickles the nodes, and
+the dataclasses API works on them, importing ``dataclasses`` when used.
 
 A derived clock is computed as its date list, the sorted steps at which
 it ticks, from the date lists of its operands; no step is visited on
@@ -25,7 +26,6 @@ Every other result is a ``list``, so compare results with ``list(...)``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import le
 from typing import Sequence
@@ -50,14 +50,23 @@ class _Node:
     """
 
     def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
         # (field, role) pairs, operands first: DelayFor(Ref("a"), 0, "ms")
         # names its ref, not its delay
         cls._roles = sorted(cls.__annotations__.items(), key=lambda field: field[1] != "ClockExpr")
+        cls.__dataclass_fields__ = _DataclassFields()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args), **kwargs)
+            if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes each of the fields {', '.join(names)} once")
+            args = tuple(map(given.__getitem__, names))
+        fields = dict(zip(names, args))
         clocks: set[str] = set()
         for name, role in self._roles:
-            value = getattr(self, name)
+            value = fields[name]
             if role == "ClockExpr":
                 if not isinstance(value, _Node):
                     raise ExpressionError(f"{name} operand is not a clock expression: {value!r}")
@@ -71,8 +80,26 @@ class _Node:
                 except DeclarationError as exc:
                     raise ExpressionError(str(exc)) from None
                 clocks.add(value)
-        object.__setattr__(self, "_hash", hash(self.__reduce__()))
-        object.__setattr__(self, "_clocks", frozenset(clocks))
+        # the hash of __reduce__(), and set past the frozen __setattr__
+        self.__dict__.update(fields, _hash=hash((type(self), args)), _clocks=frozenset(clocks))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, **changes: object) -> _Node:
+        """``copy.replace`` (Python 3.13), which checks the new values as the constructor does."""
+        return type(self)(**dict(zip(self.__match_args__, self.__reduce__()[1]), **changes))
 
     def __hash__(self) -> int:
         return self._hash
@@ -86,31 +113,37 @@ class _Node:
         return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
-@dataclass(frozen=True, eq=False)
+class _DataclassFields:
+    """A kind's ``__dataclass_fields__``, made and kept when first read: only its users import ``dataclasses``."""
+
+    def __get__(self, node: _Node | None, kind: type[_Node]) -> dict:
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(kind.__name__, kind.__annotations__.items()).__dataclass_fields__
+        kind.__dataclass_fields__ = fields
+        return fields
+
+
 class Ref(_Node):
     clock: str
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodicOn(_Node):
     base: ClockExpr
     period: int
 
 
-@dataclass(frozen=True, eq=False)
 class DelayFor(_Node):
     base: ClockExpr
     delay: int
     ref: ClockExpr
 
 
-@dataclass(frozen=True, eq=False)
 class Inf(_Node):
     left: ClockExpr
     right: ClockExpr
 
 
-@dataclass(frozen=True, eq=False)
 class Sup(_Node):
     left: ClockExpr
     right: ClockExpr

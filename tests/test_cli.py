@@ -446,9 +446,10 @@ def test_importing_cli_loads_no_subcommand_module():
         ("simulate", {"prccsl.simulator", "prccsl.traceio"},
          {"prccsl.speclang", "prccsl.exprs", "prccsl.relations", "prccsl.report",
           "dataclasses", "json", "fractions", "csv"}),
-        ("check", {"prccsl.speclang", "prccsl.traceio", "prccsl.relations"}, {"prccsl.simulator"}),
+        ("check", {"prccsl.speclang", "prccsl.traceio", "prccsl.relations"},
+         {"prccsl.simulator", "dataclasses", "inspect"}),
         ("verify-av", {"prccsl.speclang", "prccsl.simulator", "prccsl.relations"},
-         {"prccsl.traceio", "csv"}),
+         {"prccsl.traceio", "csv", "dataclasses", "inspect"}),
     ],
 )
 def test_each_subcommand_imports_only_its_own_modules(tmp_path, command, needed, not_loaded):
@@ -474,6 +475,49 @@ def test_verify_av_reads_the_bundled_corpus_without_importlib_resources():
     code, modules = loaded_modules(["verify-av", "--steps", "200"], "-S")
     assert code in (0, 1)
     assert "importlib.resources" not in modules and "prccsl.simulator" in modules
+
+
+def test_verify_av_on_a_clean_interpreter_loads_no_dataclasses():
+    # the nodes import it only for a caller of the dataclasses API, and
+    # with inspect it costs 7-9 ms of each call
+    code, modules = loaded_modules(["verify-av", "--steps", "200"], "-S")
+    assert code in (0, 1)
+    assert {"dataclasses", "inspect"}.isdisjoint(modules) and "prccsl.exprs" in modules
+
+
+# Calls main() N times on the other arguments in a fresh interpreter.  Its
+# atexit probe, registered first, runs last (atexit is last in, first
+# out), and prints how often gc.freeze ran and whether anything is frozen.
+_EXIT_PROBE = """\
+import atexit, gc, sys
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: (calls.append(1), freeze())[-1]
+atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))
+from prccsl.cli import main
+for _ in range(int(sys.argv[1])):
+    main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize("calls, freezes", [(0, "0 False"), (1, "1 True"), (2, "1 True")])
+def test_a_cli_process_freezes_the_collector_once_at_exit(calls, freezes):
+    # frozen objects are skipped by the interpreter's final collections;
+    # importing the CLI alone changes nothing
+    run = run_fresh(sys.executable, "-c", _EXIT_PROBE, str(calls), "verify-av", "--steps", "200")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode().splitlines()[-1] == freezes
+
+
+@pytest.mark.parametrize("command", ["check", "verify-av"])
+def test_the_report_file_is_complete_at_exit(tmp_path, command):
+    trace = tmp_path / "t.csv"
+    write_trace(simulate(AVParams(seed=2, steps=2000)), trace)
+    argv = {"check": ["check", "--spec", str(DENSE_SPEC), "--trace", str(trace)],
+            "verify-av": ["verify-av", "--steps", "2000"]}[command]
+    out = tmp_path / "report.json"
+    run = run_fresh(sys.executable, "-m", "prccsl.cli", *argv, "--format", "json", "--out", str(out))
+    assert run.returncode in (0, 1), run.stderr
+    assert run.stdout and out.read_bytes() == run.stdout
 
 
 def test_usage_error_exits_two():

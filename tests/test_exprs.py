@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -18,8 +20,10 @@ from prccsl import (
     Trace,
     UnknownClockError,
     clocks_of,
+    elaborate,
     eval_expr,
     format_expr,
+    parse,
 )
 
 
@@ -216,6 +220,110 @@ def test_nodes_are_frozen_dataclasses(node, fields):
         setattr(node, fields[0], Ref("c"))
     assert dataclasses.replace(node) == node
     assert eval(repr(node)) == node
+
+
+# The contract that @dataclass used to supply, which the plain node classes keep
+_DELAY = DelayFor(Ref("a"), 3, Ref("ms"))
+
+
+def test_nodes_take_their_fields_by_position_or_keyword():
+    assert DelayFor(base=Ref("a"), delay=3, ref=Ref("ms")) == _DELAY
+    assert DelayFor(Ref("a"), ref=Ref("ms"), delay=3) == _DELAY
+    assert Ref(clock="a") == Ref("a")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DelayFor(Ref("a"), 3),  # missing
+        lambda: DelayFor(Ref("a"), 3, Ref("ms"), Ref("b")),  # extra
+        lambda: DelayFor(Ref("a"), 3, rf=Ref("ms")),  # unknown keyword
+        lambda: DelayFor(Ref("a"), 3, Ref("ms"), delay=3),  # given twice
+    ],
+    ids=["missing", "extra", "unknown", "twice"],
+)
+def test_a_wrong_field_set_is_a_type_error_naming_the_kind(make):
+    with pytest.raises(TypeError, match=r"^DelayFor\(\) takes each of the fields base, delay, ref once$"):
+        make()
+
+
+def test_assigning_or_deleting_a_field_is_a_frozen_instance_error():
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'delay'$"):
+        _DELAY.delay = 4
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'delay'$"):
+        del _DELAY.delay
+    assert _DELAY.delay == 3
+
+
+@pytest.mark.parametrize(
+    "node, text",
+    [
+        (Ref("a"), "Ref(clock='a')"),
+        (PeriodicOn(Ref("a"), 2), "PeriodicOn(base=Ref(clock='a'), period=2)"),
+        (_DELAY, "DelayFor(base=Ref(clock='a'), delay=3, ref=Ref(clock='ms'))"),
+        (Inf(Ref("a"), Ref("b")), "Inf(left=Ref(clock='a'), right=Ref(clock='b'))"),
+        (Sup(Ref("a"), Ref("b")), "Sup(left=Ref(clock='a'), right=Ref(clock='b'))"),
+    ],
+    ids=["Ref", "PeriodicOn", "DelayFor", "Inf", "Sup"],
+)
+def test_node_repr_is_the_dataclass_text(node, text):
+    assert repr(node) == text
+
+
+def test_the_dataclasses_api_works_on_kinds_and_nodes():
+    assert [field.name for field in dataclasses.fields(DelayFor)] == ["base", "delay", "ref"]
+    assert [field.name for field in dataclasses.fields(_DELAY)] == ["base", "delay", "ref"]
+    assert dataclasses.is_dataclass(Sup) and not dataclasses.is_dataclass(prccsl.exprs._Node)
+    assert dataclasses.asdict(_DELAY) == {"base": {"clock": "a"}, "delay": 3, "ref": {"clock": "ms"}}
+    assert dataclasses.replace(_DELAY, delay=4) == DelayFor(Ref("a"), 4, Ref("ms"))
+    with pytest.raises(ExpressionError, match="delay must be a positive integer, got 0"):
+        dataclasses.replace(_DELAY, delay=0)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_revalidates():
+    assert copy.replace(_DELAY, delay=4) == DelayFor(Ref("a"), 4, Ref("ms"))  # type: ignore[attr-defined]
+    with pytest.raises(ExpressionError, match="delay must be a positive integer, got 0"):
+        copy.replace(_DELAY, delay=0)  # type: ignore[attr-defined]
+
+
+def test_nodes_round_trip_through_pickle_and_deepcopy():
+    node = Sup(_DELAY, Inf(PeriodicOn(Ref("a"), 2), Ref("b")))
+    assert pickle.loads(pickle.dumps(node)) == node
+    assert copy.deepcopy(node) == node
+
+
+def _post_order(exprs):
+    """Distinct sub-expressions, every child before its parent, found with dataclasses.fields."""
+    seen, order = set(), []
+
+    def visit(expr):
+        if expr in seen:
+            return
+        for field in dataclasses.fields(expr):
+            child = getattr(expr, field.name)
+            if dataclasses.is_dataclass(child):
+                visit(child)
+        seen.add(expr)
+        order.append(expr)
+
+    for expr in exprs:
+        visit(expr)
+    return order
+
+
+@pytest.mark.parametrize(
+    "path, count",
+    [
+        (Path(__file__).resolve().parents[1] / "perfbench" / "dense.prccsl", 17),
+        (Path(prccsl.__file__).parent / "data" / "av_requirements.prccsl", 85),
+    ],
+    ids=["dense", "corpus"],
+)
+def test_a_dataclasses_walk_finds_every_distinct_node(path, count):
+    _, relations = elaborate(parse(path.read_bytes()))
+    nodes = _post_order([expr for rel in relations for expr in (rel.left, rel.right)])
+    assert len(nodes) == len(set(nodes)) == count
 
 
 SRC = Path(prccsl.__file__).resolve().parents[1]
