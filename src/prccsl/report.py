@@ -13,6 +13,7 @@ from typing import Any
 
 from . import _EXPORTS
 from .relations import CheckResult, RelationError
+from .speclang import format_threshold
 
 __all__ = _EXPORTS["report"]
 
@@ -34,6 +35,14 @@ def _ratio_payload(value: Fraction | None, fraction: str | None = None) -> dict[
     }
 
 
+def _threshold_payload(value: Fraction) -> dict[str, str]:
+    """A threshold's payload, its decimal exact: every spec literal and ``--threshold`` value has one."""
+    try:
+        return {"decimal": format_threshold(value), "fraction": f"{value.numerator}/{value.denominator}"}
+    except ValueError:  # no finite decimal form, such as a library Fraction(1, 3): rounded as a probability is
+        return _ratio_payload(value)
+
+
 def _record(result: CheckResult) -> dict[str, Any]:
     if isinstance(result, RelationError):
         return {
@@ -53,7 +62,7 @@ def _record(result: CheckResult) -> dict[str, Any]:
         "m": result.m,
         # the fraction keeps the raw counts even though m/k may reduce
         "probability": _ratio_payload(result.probability, f"{result.m}/{result.k}"),
-        "threshold": _ratio_payload(result.threshold),
+        "threshold": _threshold_payload(result.threshold),
         "outcome": result.outcome,
     }
 

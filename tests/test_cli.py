@@ -327,6 +327,44 @@ def test_verify_av_reports_the_threshold_as_its_exact_decimal(text, shown, capsy
 
 
 @pytest.mark.parametrize(
+    "literal, shown, fraction",
+    [
+        ("0.9999999999999999", "0.9999999999999999", "9999999999999999/10000000000000000"),
+        ("0.0000000000000001", "0.0000000000000001", "1/10000000000000000"),
+    ],
+)
+def test_the_report_shows_a_threshold_as_its_exact_decimal(tmp_path, capsys, literal, shown, fraction):
+    # not rounded to 15 digits ("1.00000000000000"), nor in exponent form ("1E-16")
+    spec = write(tmp_path / "s.prccsl", f"clock a\nrel r: a coincides a prob >= {literal}\n")
+    trace = passing_trace(tmp_path / "t.csv")
+    assert main(["check", "--spec", spec, "--trace", trace]) == 0
+    row = capsys.readouterr().out.splitlines()[4].split()
+    assert row[0] == "r" and row[-2:] == [shown, "valid"]
+    assert main(["check", "--spec", spec, "--trace", trace, "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)["relations"][0]
+    assert record["threshold"] == {"decimal": shown, "fraction": fraction}
+    assert record["probability"] == {"decimal": "1", "fraction": "5/5"}
+    code = main(["verify-av", "--steps", "200", "--threshold", literal, "--format", "json"])
+    assert code in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["settings"]["threshold"] == shown
+    assert {record["threshold"]["decimal"] for record in report["relations"]} == {shown}
+
+
+def test_a_threshold_without_a_finite_decimal_keeps_its_rounded_decimal():
+    from fractions import Fraction
+
+    from prccsl import Ref, RelationKind, RelationSpec, build_report, check_relations, render_text
+
+    trace = Trace.from_dates(["ms", "a"], 3, {"ms": range(3), "a": [0, 1, 2]})
+    relation = RelationSpec("r", RelationKind.COINCIDENCE, Ref("a"), Ref("ms"), Fraction(1, 3))
+    report = build_report(spec="library", trace={"steps": 3}, settings={},
+                          results=check_relations([relation], trace), duration_seconds=0)
+    assert report["relations"][0]["threshold"] == {"decimal": "0.333333333333333", "fraction": "1/3"}
+    assert "0.333333333333333  valid" in render_text(report)
+
+
+@pytest.mark.parametrize(
     "text",
     ["1.", ".5", "1e-5", "01.50", "0." + "5" * 5000, "1/2", "+0.5", "0.5", "01.0", "0", "1.000", "0." + "5" * 4000],
     ids=lambda text: text if len(text) < 10 else f"{len(text)}-chars",
@@ -447,7 +485,7 @@ def test_importing_cli_loads_no_subcommand_module():
          {"prccsl.speclang", "prccsl.exprs", "prccsl.relations", "prccsl.report",
           "dataclasses", "json", "fractions", "csv"}),
         ("check", {"prccsl.speclang", "prccsl.traceio", "prccsl.relations"},
-         {"prccsl.simulator", "dataclasses", "inspect"}),
+         {"prccsl.simulator", "csv", "dataclasses", "inspect"}),
         ("verify-av", {"prccsl.speclang", "prccsl.simulator", "prccsl.relations"},
          {"prccsl.traceio", "csv", "dataclasses", "inspect"}),
     ],

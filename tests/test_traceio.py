@@ -1,4 +1,3 @@
-import csv
 import io
 import os
 import re
@@ -82,16 +81,26 @@ def test_empty_trace_round_trip():
         ("step,a\n0,2\n", 2, "must be 0 or 1"),
         ("step,a\n0, 1\n", 2, "must be 0 or 1"),
         ("step,a\n0,\n", 2, "must be 0 or 1"),
-        # three fields each, rendered as "0,0,1,", "0,00," and "0,0\n,1"
-        ('step,a,b\n0,"0,1",\n', 2, "must be 0 or 1"),
+        ("step,a\n0,1\n\n", 3, "row has 0 fields, expected 2"),  # an empty line has no fields
+        ("\nstep,a\n", 1, "header must start with 'step'"),
         ("step,a,b\n0,00,\n", 2, "must be 0 or 1"),
-        ('step,a,b\n0,"0\n",1\n', 3, "must be 0 or 1"),  # the record ends on line 3
-        # a line end in a quoted value is read as "\n", as every line end is
-        ('step,ms,"a\r\n"\n0,1,1\n', 1, "invalid clock name 'a\\n'"),
-        ('step,ms,"a\r"\n0,1,1\n', 1, "invalid clock name 'a\\n'"),
-        ('step,ms\n"0\r\n",1\n', 3, "step index '0\\n', expected 0"),
-        pytest.param("step,ms,a\n0,1," + "x" * 200000 + "\n", 2, "field limit", id="over-long-field"),
-        pytest.param("step," + "x" * 200000 + "\n0,1\n", 1, "field limit", id="over-long-header-field"),
+        # only a value without a quote, comma or line end is unwrapped; any
+        # other quote stays in its field, so the line it starts on is reported
+        ('step,a,b\n0,"0,1",\n', 2, "row has 4 fields, expected 3"),
+        ('step,a,b\n0,"0\n",1\n', 2, "row has 2 fields, expected 3"),
+        ('step,ms\n",0\n1,0\n', 2, "non-consecutive step index '\"', expected 0"),
+        ('step,ms,"a\r\n"\n0,1,1\n', 1, "invalid clock name '\"a'"),
+        ('step,ms,"a\r"\n0,1,1\n', 1, "invalid clock name '\"a'"),
+        ('step,ms\n"0\r\n",1\n', 2, "row has 1 fields, expected 2"),
+        ('step,ms\n0,""1\n', 2, "cell must be 0 or 1"),
+        ('step,ms\n0,"1"2\n', 2, "cell must be 0 or 1"),
+        ('step,ms\n"0"1,1\n', 2, "non-consecutive step index '\"0\"1', expected 0"),
+        ('step,ms\n0,"1\n', 2, "cell must be 0 or 1"),
+        ('step,ms\n0,"\n', 2, "cell must be 0 or 1"),
+        ('step,"ms\n0,1\n', 1, "invalid clock name '\"ms'"),
+        ('"step,ms"\n0,1\n', 1, "header must start with 'step'"),
+        ("step,ms\n0,1\n1,\0\n", 3, "cell must be 0 or 1"),
+        pytest.param("step,ms,a\n0,1," + "x" * 200000 + "\n", 2, "cell must be 0 or 1", id="over-long-field"),
     ],
 )
 def test_format_errors_carry_line_numbers(text, line, fragment):
@@ -99,6 +108,36 @@ def test_format_errors_carry_line_numbers(text, line, fragment):
         read_trace(io.StringIO(text))
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("cell", [b'""1', b'"1"2', b'"1""', b'1"1"', b"\0"])
+def test_a_cell_quoted_other_than_whole_or_holding_nul_is_a_bad_cell(tmp_path, cell):
+    # csv's lenient mode read the first two as 1 and 12, and a NUL cell
+    # was "line contains NUL" on Python 3.10 only
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"step,ms\n0,1\n1," + cell + b"\n2,1\n")
+    for source in (path, io.StringIO(path.read_text(encoding="utf-8"))):
+        with pytest.raises(TraceFormatError, match=re.escape("cell must be 0 or 1 (line 3)")):
+            read_trace(source)
+
+
+def test_a_field_has_no_length_limit():
+    # csv stopped at 131072 bytes; a long clock name is a clock name
+    name = "x" * 200000
+    back = read_trace(io.StringIO(f"step,{name}\n0,1\n"))
+    assert back.clocks == (name,) and list(back.dates(name)) == [0]
+
+
+def test_one_quoted_cell_sends_only_its_segment_to_the_line_check(tmp_path):
+    # the segments after it are read in bulk again, to the same trace
+    text = trace_to_string(block_trace(3 * _BLOCK_ROWS))
+    quoted = quote_cell(text, 2)
+    assert quoted.count('"') == 2
+    for source in sources(tmp_path, quoted):
+        with line_check_spy() as spy:
+            back = read_trace(source)
+        assert spy.call_count == 1 and spy.call_args.args[1] == 0
+        assert trace_to_string(back) == text
 
 
 def test_crlf_input_accepted(tmp_path):
@@ -150,9 +189,9 @@ def quote_cell(text: str, line: int) -> str:
     return edit_line(text, line, re.sub(r",(\d)", r',"\1"', text.split("\n")[line - 1], count=1))
 
 
-def row_parser_spy():
-    """A patch that records the calls of ``traceio._read_rows`` and lets them run."""
-    return mock.patch.object(traceio, "_read_rows", wraps=traceio._read_rows)
+def line_check_spy():
+    """A patch that records the calls of ``traceio._canonical_segment`` and lets them run."""
+    return mock.patch.object(traceio, "_canonical_segment", wraps=traceio._canonical_segment)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +240,7 @@ def test_canonical_text_never_reaches_the_row_parser(tmp_path, ends):
     copy = {"lf": text, "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"), "mixed": mixed_ends(text)}[ends]
     path = tmp_path / "t.csv"
     path.write_bytes(copy.encode("ascii"))
-    with mock.patch.object(traceio, "_read_rows", side_effect=AssertionError("row parser reached")):
+    with mock.patch.object(traceio, "_canonical_segment", side_effect=AssertionError("line check reached")):
         for rows in (3, 1000, _BLOCK_ROWS):
             with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
                 assert trace_to_string(read_trace(path)) == text
@@ -280,29 +319,28 @@ def test_writer_matches_naive_rendering(tmp_path, sizes, data):
 
 def reference_read(text: str):
     """(clocks, steps, dates) of a trace CSV, or the line of its first
-    error, from one ``csv.reader`` pass over rows; shares no code with
-    ``read_trace``."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if not header or header[0].removeprefix("\ufeff") != "step":
-            return 1
-        clocks = header[1:]
-        valid = all(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) for name in clocks)
-        if not valid or len(set(clocks)) != len(clocks):
-            return 1
-        dates = {name: [] for name in clocks}
-        step = 0
-        for row in reader:
-            if len(row) != len(header) or row[0] != str(step) or not set(row[1:]) <= {"0", "1"}:
-                return reader.line_num
-            for name, cell in zip(clocks, row[1:]):
-                if cell == "1":
-                    dates[name].append(step)
-            step += 1
-    except csv.Error:
-        return reader.line_num
-    return tuple(clocks), step, dates
+    error, from one pass over lines split with a regular expression at
+    "\r\n", "\r" or "\n", each field ``"value"`` read as ``value`` where
+    the value holds no quote; shares no code with ``read_trace``."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if len(lines) > 1 and not lines[-1]:  # the last line's end
+        lines.pop()
+    rows = [[re.sub(r'\A"([^"]*)"\Z', r"\1", field) for field in line.split(",")] for line in lines]
+    header = rows[0]
+    if header[0].removeprefix("\ufeff") != "step":
+        return 1
+    clocks = header[1:]
+    valid = all(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) for name in clocks)
+    if not valid or len(set(clocks)) != len(clocks):
+        return 1
+    dates = {name: [] for name in clocks}
+    for step, row in enumerate(rows[1:]):
+        if len(row) != len(header) or row[0] != str(step) or not set(row[1:]) <= {"0", "1"}:
+            return step + 2
+        for name, cell in zip(clocks, row[1:]):
+            if cell == "1":
+                dates[name].append(step)
+    return tuple(clocks), len(rows) - 1, dates
 
 
 @st.composite
@@ -312,7 +350,9 @@ def edited_csvs(draw):
     dates = {name: draw(st.lists(st.integers(0, max(steps - 1, 0)), max_size=steps)) for name in clocks}
     text = trace_to_string(Trace.from_dates(clocks, steps, dates))
     for _ in range(draw(st.integers(0, 2))):
-        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "crlf", "cr", "mixed"]))
+        edit = draw(st.sampled_from(
+            ["replace", "insert", "delete", "truncate", "crlf", "cr", "mixed", "quote", "quote-all", "no-final-end"]
+        ))
         at = draw(st.integers(0, len(text)))
         char = draw(st.sampled_from(list('012,\n\r"\u00e9 ')))
         text = {
@@ -323,8 +363,18 @@ def edited_csvs(draw):
             "crlf": text.replace("\n", "\r\n"),
             "cr": text.replace("\n", "\r"),
             "mixed": mixed_ends(text, at),
+            "quote": quote_field(text, at),
+            "quote-all": re.sub(r"[^,\r\n]+", r'"\g<0>"', text),
+            "no-final-end": text.rstrip("\r\n"),
         }[edit]
     return text
+
+
+def quote_field(text: str, at: int) -> str:
+    """``text`` with the field that holds its character ``at`` (or ends there) wrapped in quotes."""
+    start = max(text.rfind(",", 0, at), text.rfind("\n", 0, at), text.rfind("\r", 0, at)) + 1
+    end = min(i for i in (text.find(",", at), text.find("\n", at), text.find("\r", at), len(text)) if i >= 0)
+    return text[:start] + '"' + text[start:end] + '"' + text[end:]
 
 
 def outcome(source, clocks=None):
@@ -337,7 +387,7 @@ def outcome(source, clocks=None):
 
 @settings(max_examples=400, deadline=None)
 @given(text=edited_csvs())
-def test_reader_matches_csv_reader_reference_at_any_segment_size(text):
+def test_reader_matches_a_line_by_line_reference_at_any_segment_size(text):
     # the reference splits lines as a path is read, at "\n", "\r" or
     # "\r\n"; so must read_trace, whatever line splitting the stream has
     outcomes = []
@@ -411,9 +461,9 @@ def sources(tmp_path, text):
 )
 @pytest.mark.parametrize("clocks", [None, ["b", "ms"]], ids=["all", "projected"])
 def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, edit, at, rows):
-    # ms ticks on every row: a range from a path and from a stream, on the
-    # canonical path and after the csv.reader fallback, which a quoted
-    # cell takes and CRLF rows do not; a and b stay lists
+    # ms ticks on every row: a range from a path and from a stream, read
+    # in bulk and after the line check, which a quoted cell's segment takes
+    # and CRLF rows do not; a and b stay lists
     steps = 1001
     text = trace_to_string(block_trace(steps))
     if edit == "crlf":
@@ -423,7 +473,7 @@ def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, edit, at, rows):
         text = quote_cell(text, at)
     with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
         for source in sources(tmp_path, text):
-            with row_parser_spy() as spy:
+            with line_check_spy() as spy:
                 back = read_trace(source, clocks)
             assert spy.called == (edit == "quoted")
             assert type(back.dates("ms")) is range and back.dates("ms") == range(steps)
@@ -436,7 +486,7 @@ def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, edit, at, rows):
 def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, edit, rows):
     # ms ticks on every row but step ``silent - 1``, so it is a list, at
     # the first row, in the first segment, in a middle one or the last;
-    # a quoted cell on the first row sends every row through csv.reader
+    # a quoted cell on the first row sends the first segment to the line check
     steps = 1001
     text = trace_to_string(block_trace(steps))
     line = silent + 1
@@ -449,7 +499,7 @@ def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, edit, rows
     expected = [step for step in range(steps) if step != silent - 1]
     with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
         for source in sources(tmp_path, text):
-            with row_parser_spy() as spy:
+            with line_check_spy() as spy:
                 back = read_trace(source, ["ms"])
             assert spy.called == (edit == "quoted")
             assert type(back.dates("ms")) is list and back.dates("ms") == expected
@@ -472,20 +522,23 @@ def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, 
     earlier = line - _BLOCK_ROWS
     if earlier_edit == "crlf":  # a CRLF row a segment earlier is read as the LF row it equals
         text = edit_line(text, earlier, text.split("\n")[earlier - 1] + "\r")
-    elif earlier_edit == "quoted":  # a quoted cell a segment earlier sends every later row through csv.reader
+    elif earlier_edit == "quoted":  # a quoted cell a segment earlier sends that segment to the line check
         text = quote_cell(text, earlier)
-    with mock.patch.object(traceio, "_BLOCK_ROWS", rows), row_parser_spy() as spy:
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows), line_check_spy() as spy:
         full = outcomes_of(tmp_path, text)
-        # the bad row's segment always reaches csv.reader; only the quoted cell's comes first
-        assert spy.call_args_list and all((call.args[1] < earlier - 1) == (earlier_edit == "quoted") for call in spy.call_args_list)
+        # the bad row's segment always reaches the line check, the quoted cell's before it, and no other
+        targets = ([earlier] if earlier_edit == "quoted" else []) + [line]
+        starts = [call.args[1] for call in spy.call_args_list]
+        assert len(starts) == 2 * len(targets)  # a path and a stream
+        assert all(start <= target - 2 < start + rows for start, target in zip(starts, 2 * targets))
         assert all(at == line and fragment in message for message, at in full)
         assert outcomes_of(tmp_path, text, ["ms", "a"]) == full
 
 
 @pytest.mark.parametrize("rows", [7, _BLOCK_ROWS])
 def test_later_segment_of_a_path_reads_as_a_stream(tmp_path, rows):
-    # past the text layer's first chunk, a path's body is read as bytes;
-    # a segment that is not canonical there is read on as text
+    # past the buffer's first chunk, a segment that is not canonical is
+    # read and checked as it is from a stream
     canonical = trace_to_string(block_trace(3 * _BLOCK_ROWS))
     line = 2 * _BLOCK_ROWS + 5
     row = canonical.split("\n")[line - 1]
@@ -564,16 +617,16 @@ def test_segments_of_a_wide_trace_are_bounded_by_bytes(tmp_path):
 
 @pytest.mark.parametrize("edit", ["crlf", "quoted"])
 def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path, edit):
-    # a quoted cell on the first row sends every row through csv.reader,
-    # while CRLF rows are read in bulk; a clock ticking on every row must
-    # not become a list of every step on either way
+    # a quoted cell on the first row sends the first segment to the line
+    # check, while CRLF rows are read in bulk; a clock ticking on every row
+    # must not become a list of every step on either way
     steps = 100_000
     original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
     text = trace_to_string(original)
     path = tmp_path / "t.csv"
     path.write_bytes((text.replace("\n", "\r\n") if edit == "crlf" else quote_cell(text, 2)).encode("ascii"))
     for clocks in ({"ms"}, None):
-        with row_parser_spy() as spy:
+        with line_check_spy() as spy:
             tracemalloc.start()
             try:
                 back = read_trace(path, clocks=clocks)
@@ -587,12 +640,11 @@ def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path, edit):
 
 
 def test_the_row_parser_holds_a_segment_once(tmp_path):
-    # each segment of rows that csv.reader parses is rendered into one
-    # bytearray, not joined from a list of row strings and then encoded,
-    # and lines are read on one at a time, not a whole segment at once;
-    # the CRLF copy is read in bulk.  On Python 3.11 the peaks are 0.47
-    # MiB (CRLF), 0.38 MiB (a quoted first row) and 2.8 MiB (a quoted
-    # cell in the wide trace)
+    # a segment that reaches the line check is completed and unquoted as
+    # bytes, not split into a list of lines, and the next is read only
+    # once it is dropped; the CRLF copy is read in bulk.  On Python 3.11
+    # the peaks are 0.40 MiB (CRLF), 0.38 MiB (a quoted first row) and
+    # 2.8 MiB (a quoted cell in the wide trace)
     steps = 30_000
     original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
     names = [f"c{i}" for i in range(40)]
@@ -604,7 +656,7 @@ def test_the_row_parser_holds_a_segment_once(tmp_path):
     ):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("ascii"))
-        with row_parser_spy() as spy:
+        with line_check_spy() as spy:
             tracemalloc.start()
             try:
                 back = read_trace(path)
@@ -645,7 +697,7 @@ def test_lines_split_as_a_path_does_however_the_text_is_chunked(text, size, held
     # bytes (as from a pipe) and text are read ``size`` at a time, so a
     # "\r\n" may be cut between two reads; each line end is read as "\n".
     # The first ``held`` bytes are read whole and their last line completed,
-    # as the csv.reader fallback reads on from a segment
+    # as the line check completes a segment
     expected = [re.sub(r"\r\n?$", "\n", line) for line in io.StringIO(text, newline="").readlines()]
     data = io.BytesIO(text.encode("ascii"))
     with traceio._opened(short_reads(text, size), "rb") as from_text:
@@ -685,7 +737,7 @@ def test_a_stream_of_short_reads_reads_as_the_path_does(text, most):
 
 def test_short_reads_still_fill_canonical_segments():
     text = trace_to_string(block_trace(1001))
-    with mock.patch.object(traceio, "_read_rows", side_effect=AssertionError("row parser reached")):
+    with mock.patch.object(traceio, "_canonical_segment", side_effect=AssertionError("line check reached")):
         for most in (1, 7):
             assert trace_to_string(read_trace(short_reads(text, most))) == text
 
