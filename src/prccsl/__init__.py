@@ -32,7 +32,7 @@ _EXPORTS = {
         "check_relations",
     ),
     "report": ("build_report", "render_text"),
-    "simulator": ("ALPHABET", "AVParams", "FaultSpec", "FAULT_TARGETS", "simulate", "simulate_faulty"),
+    "simulator": ("AVParams", "FaultSpec", "FAULT_TARGETS", "simulate"),
     "speclang": (
         "Definition",
         "SpecFile",
@@ -42,7 +42,7 @@ _EXPORTS = {
         "format_threshold",
         "elaborate",
     ),
-    "traceio": ("read_trace", "write_trace", "trace_to_string"),
+    "traceio": ("read_trace", "write_trace"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

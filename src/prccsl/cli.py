@@ -96,14 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate(seed: int, steps: int, fault: FaultSpec | None) -> Trace:
-    """The vehicle model's trace for ``seed`` and ``steps``, with ``fault`` if given."""
-    from .simulator import AVParams, simulate, simulate_faulty
-
-    params = AVParams(seed=seed, steps=steps)
-    return simulate(params) if fault is None else simulate_faulty(params, fault)
-
-
 def _check(
     args: argparse.Namespace, started: float, spec_label: str, relations: Sequence[RelationSpec],
     trace: Trace, trace_info: dict[str, Any], settings: dict[str, Any],
@@ -149,9 +141,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import AVParams, simulate
     from .traceio import write_trace
 
-    trace = _simulate(args.seed, args.steps, args.fault)
+    trace = simulate(AVParams(seed=args.seed, steps=args.steps), args.fault)
     write_trace(trace, args.out)
     print(f"wrote {len(trace)} steps x {len(trace.clocks)} clocks to {args.out}")
     for clock in trace.clocks:
@@ -160,6 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_av(args: argparse.Namespace) -> int:
+    from .simulator import AVParams, simulate
     from .speclang import elaborate, format_threshold, parse
 
     started = time.perf_counter()
@@ -169,7 +163,7 @@ def _cmd_verify_av(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         relations = [rel._replace(threshold=args.threshold) for rel in relations]
     steps = next(n for n in (args.steps, spec.steps, _DEFAULT_STEPS) if n is not None)
-    trace = _simulate(args.seed, steps, args.fault)
+    trace = simulate(AVParams(seed=args.seed, steps=steps), args.fault)
     fault = None if args.fault is None else f"{args.fault.target}:{args.fault.rate}"
     threshold = None if args.threshold is None else format_threshold(args.threshold)
     trace_info = {"seed": args.seed, "steps": steps, "fault": fault}

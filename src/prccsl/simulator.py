@@ -177,29 +177,30 @@ class AVParams(namedtuple("AVParams", "seed steps")):
 class FaultSpec(namedtuple("FaultSpec", "target rate")):
     """A requirement family to violate and the per-occurrence rate (a named tuple).
 
-    ``simulate_faulty`` raises FaultTargetError for an unknown target
-    and for a rate that is not an int or a float in [0, 1] (a bool is not).
+    ``simulate`` raises FaultTargetError for an unknown target and for a
+    rate that is not an int or a float in [0, 1] (a bool is not).
     """
 
     __slots__ = ()
 
 
-def simulate(params: AVParams) -> Trace:
-    """Run the fault-free vehicle model for params.steps steps."""
-    return _run(params, None)
-
-
-def simulate_faulty(params: AVParams, fault: FaultSpec) -> Trace:
-    """Run with one requirement family violated at the given rate."""
-    if fault.target not in FAULT_TARGETS:
-        raise FaultTargetError(
-            f"unknown fault target {fault.target!r}; known: {', '.join(sorted(FAULT_TARGETS))}"
-        )
-    if isinstance(fault.rate, bool) or not isinstance(fault.rate, (int, float)):
-        raise FaultTargetError(f"fault rate must be an int or a float, got {fault.rate!r}")
-    if not 0 <= fault.rate <= 1:
-        raise FaultTargetError(f"fault rate must be in [0, 1], got {fault.rate}")
+def simulate(params: AVParams, fault: FaultSpec | None = None) -> Trace:
+    """Run the vehicle model for params.steps steps, with ``fault``'s family violated if given."""
+    if fault is not None:
+        if fault.target not in FAULT_TARGETS:
+            raise FaultTargetError(
+                f"unknown fault target {fault.target!r}; known: {', '.join(sorted(FAULT_TARGETS))}"
+            )
+        if isinstance(fault.rate, bool) or not isinstance(fault.rate, (int, float)):
+            raise FaultTargetError(f"fault rate must be an int or a float, got {fault.rate!r}")
+        if not 0 <= fault.rate <= 1:
+            raise FaultTargetError(f"fault rate must be in [0, 1], got {fault.rate}")
     return _run(params, fault)
+
+
+# the old name of simulate, not exported: perfbench/run.py and
+# perfbench/traced.py still import it
+simulate_faulty = simulate
 
 
 def monotone(steps: list[int]) -> list[int]:

@@ -174,10 +174,10 @@ def read_trace(source: Source, clocks: Iterable[str] | None = None) -> Trace:
         raise TypeError(f"clocks must be clock names, not one str: {clocks!r}")
     with _opened(source, "rb") as stream:
         try:
-            header = _fields(stream.readline().decode().removesuffix("\n"))
+            header = _fields(stream.readline().decode().removeprefix("\ufeff").removesuffix("\n"))
         except UnicodeDecodeError:
             raise TraceFormatError("not valid UTF-8", 1) from None
-        if not header or header.pop(0).removeprefix("\ufeff") != "step":  # the rest are clocks
+        if not header or header.pop(0) != "step":  # the rest are clocks
             raise TraceFormatError("header must start with 'step'", 1)
         try:
             Trace(header)
@@ -280,10 +280,3 @@ def _canonical_segment(seg: bytes, step: int, clocks: int, templates: dict[tuple
 def _fields(line: str) -> list[str]:
     """The fields of ``line``, none if it is empty; ``"value"`` reads as ``value`` where the value has no quote."""
     return [f[1:-1] if f[:1] == f[-1:] == '"' and f.count('"') == 2 else f for f in (line.split(",") if line else [])]
-
-
-def trace_to_string(trace: Trace) -> str:
-    """Render a trace to its canonical CSV text."""
-    buffer = io.StringIO()
-    write_trace(trace, buffer)
-    return buffer.getvalue()

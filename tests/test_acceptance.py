@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from helpers import csv_text
 from prccsl import (
     AVParams,
     DelayFor,
@@ -28,8 +29,6 @@ from prccsl import (
     parse,
     pretty_print,
     simulate,
-    simulate_faulty,
-    trace_to_string,
 )
 from prccsl.cli import main
 from prccsl.oracle import oracle_relation
@@ -164,14 +163,14 @@ def test_fault_injection_discriminates():
     _, relations = elaborate(parse(corpus_text()))
     params = AVParams(steps=60000, seed=42)
 
-    faulty = simulate_faulty(params, FaultSpec("periodic-R1", 0.10))
+    faulty = simulate(params, FaultSpec("periodic-R1", 0.10))
     by_id = {r.id: r for r in check_relations(relations, faulty)}
     assert by_id["R1"].outcome == "fail"
     assert by_id["R1"].probability < Fraction(19, 20)
     for other in ("R2", "R3", "R4"):
         assert by_id[other].outcome == "valid"
 
-    mild = simulate_faulty(params, FaultSpec("exec-R5", 0.02))
+    mild = simulate(params, FaultSpec("exec-R5", 0.02))
     by_id = {r.id: r for r in check_relations(relations, mild)}
     assert by_id["R5_1"].outcome == "valid"
     assert by_id["R5_2"].outcome == "valid"
@@ -315,6 +314,6 @@ def test_200_random_specs_round_trip():
 
 
 def test_simulate_twice_byte_identical():
-    first = trace_to_string(simulate(AVParams(steps=60000, seed=42)))
-    second = trace_to_string(simulate(AVParams(steps=60000, seed=42)))
+    first = csv_text(simulate(AVParams(steps=60000, seed=42)))
+    second = csv_text(simulate(AVParams(steps=60000, seed=42)))
     assert first == second

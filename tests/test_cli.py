@@ -403,7 +403,7 @@ def test_oversized_steps_exit_two_without_traceback(tmp_path, capsys, command):
 
 
 def test_out_of_memory_exits_two_with_a_message(tmp_path, capsys, monkeypatch):
-    def exhausted(params):
+    def exhausted(params, fault):
         raise MemoryError
 
     monkeypatch.setattr("prccsl.simulator.simulate", exhausted)

@@ -24,10 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prccsl import (
-    AVParams, DelayFor, FaultSpec, Inf, PeriodicOn, Ref, Sup, Trace, elaborate, parse, simulate, simulate_faulty,
-    trace_to_string,
-)
+from helpers import csv_text
+from prccsl import AVParams, DelayFor, FaultSpec, Inf, PeriodicOn, Ref, Sup, Trace, elaborate, parse, simulate
 from prccsl.cli import main
 from prccsl.oracle import oracle_expr, oracle_relation
 
@@ -106,7 +104,7 @@ def specs(draw):
 
 def render(dates, n, order, form, draw_row):
     """The trace's CSV text: canonical, with CRLF line ends, or with one quoted cell."""
-    text = trace_to_string(Trace.from_dates(order, n, dates))
+    text = csv_text(Trace.from_dates(order, n, dates))
     if form == "crlf":
         return text.replace("\n", "\r\n")
     if form == "quoted":
@@ -187,8 +185,7 @@ def test_verify_av_reports_match_the_oracle(tmp_path, seed, steps, extra):
     argv = ["verify-av", "--seed", str(seed), "--steps", str(steps), *extra]
     code = main([*argv, "--format", "json", "--out", str(out)])
 
-    params = AVParams(seed, steps)
-    trace = simulate(params) if "--fault" not in extra else simulate_faulty(params, FaultSpec("exec-R7", 0.2))
+    trace = simulate(AVParams(seed, steps), FaultSpec("exec-R7", 0.2) if "--fault" in extra else None)
     dates = {clock: list(trace.dates(clock)) for clock in trace.clocks}
     spec = parse(resources.files("prccsl").joinpath("data", "av_requirements.prccsl").read_text("utf-8"))
     _, relations = elaborate(spec)

@@ -7,10 +7,10 @@ the per-step engine and checked against ``prccsl.oracle``; any engine
 rewrite must reproduce it exactly.
 
 ``data/trace_digests.json`` locks the bytes of the simulator's CSV:
-the sha256 of ``trace_to_string`` for ``simulate`` at seeds 0-4, for
-short runs (0, 1, 57 and 999 steps) at seeds 0-2, and for every fault
-target at rates 0.2 and 1.0.  ``random`` gives the same streams on
-every supported Python, so the digests do too.
+the sha256 of the text ``write_trace`` writes for ``simulate`` at seeds
+0-4, for short runs (0, 1, 57 and 999 steps) at seeds 0-2, and for
+every fault target at rates 0.2 and 1.0.  ``random`` gives the same
+streams on every supported Python, so the digests do too.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import csv_text
 from prccsl import (
     AVParams,
     FaultSpec,
@@ -27,8 +28,6 @@ from prccsl import (
     elaborate,
     parse,
     simulate,
-    simulate_faulty,
-    trace_to_string,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_verdicts.json").read_text(encoding="utf-8"))
@@ -54,13 +53,13 @@ def test_corpus_verdicts_match_golden(relations, seed):
 )
 def test_fault_matrix_matches_golden(relations, target, rate):
     params = AVParams(seed=GOLDEN["fault_seed"], steps=GOLDEN["steps"])
-    trace = simulate_faulty(params, FaultSpec(target, float(rate)))
+    trace = simulate(params, FaultSpec(target, float(rate)))
     not_valid = [r.id for r in check_relations(relations, trace) if r.outcome != "valid"]
     assert not_valid == GOLDEN["faults"][target][rate]
 
 
 def csv_digest(trace) -> str:
-    return hashlib.sha256(trace_to_string(trace).encode()).hexdigest()
+    return hashlib.sha256(csv_text(trace).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(DIGESTS["simulate"]))
@@ -84,5 +83,5 @@ def test_short_run_csv_bytes_match_golden(steps, seed):
 )
 def test_faulty_csv_bytes_match_golden(target, rate):
     params = AVParams(seed=DIGESTS["fault_seed"], steps=DIGESTS["fault_steps"])
-    trace = simulate_faulty(params, FaultSpec(target, float(rate)))
+    trace = simulate(params, FaultSpec(target, float(rate)))
     assert csv_digest(trace) == DIGESTS["faults"][target][rate]

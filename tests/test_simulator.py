@@ -6,21 +6,20 @@ from operator import lt
 
 import pytest
 
+from helpers import csv_text
 from prccsl import (
-    ALPHABET,
     AVParams,
     FAULT_TARGETS,
     FaultSpec,
     FaultTargetError,
     simulate,
-    simulate_faulty,
-    trace_to_string,
 )
 from prccsl import simulator
 from prccsl.simulator import uniform
 
 N = 20000
 PARAMS = AVParams(steps=N, seed=7)
+ALPHABET = simulate(AVParams(steps=0)).clocks
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +46,9 @@ def test_trace_shape(trace):
 
 def test_runs_are_reproducible(trace):
     again = simulate(AVParams(steps=N, seed=7))
-    assert trace_to_string(again) == trace_to_string(trace)
+    assert csv_text(again) == csv_text(trace)
     other = simulate(AVParams(steps=N, seed=8))
-    assert trace_to_string(other) != trace_to_string(trace)
+    assert csv_text(other) != csv_text(trace)
 
 
 def test_periodic_triggers_are_exact(trace):
@@ -209,23 +208,23 @@ def test_params_and_fault_are_value_typed_named_tuples():
 
 def test_fault_validation():
     with pytest.raises(FaultTargetError):
-        simulate_faulty(PARAMS, FaultSpec("nope", 0.5))
+        simulate(PARAMS, FaultSpec("nope", 0.5))
     with pytest.raises(FaultTargetError):
-        simulate_faulty(PARAMS, FaultSpec("exec-R5", 1.5))
+        simulate(PARAMS, FaultSpec("exec-R5", 1.5))
     for rate in ("0.5", True, False, None, Fraction(1, 2)):
         with pytest.raises(FaultTargetError, match="fault rate must be an int or a float"):
-            simulate_faulty(PARAMS, FaultSpec("exec-R7", rate))
+            simulate(PARAMS, FaultSpec("exec-R7", rate))
     assert "periodic-R1" in FAULT_TARGETS and "exec-R8" in FAULT_TARGETS
     assert len(FAULT_TARGETS) == 8
 
 
-def test_fault_rate_zero_matches_clean(trace):
-    z = simulate_faulty(PARAMS, FaultSpec("periodic-R1", 0.0))
-    assert trace_to_string(z) == trace_to_string(trace)
+@pytest.mark.parametrize("target", sorted(FAULT_TARGETS))
+def test_fault_rate_zero_matches_clean(trace, target):
+    assert csv_text(simulate(PARAMS, FaultSpec(target, 0.0))) == csv_text(trace)
 
 
 def test_periodic_fault_displaces_triggers(trace):
-    faulty = simulate_faulty(PARAMS, FaultSpec("periodic-R1", 0.5))
+    faulty = simulate(PARAMS, FaultSpec("periodic-R1", 0.5))
     grid = set(range(0, N, 50))
     off_grid = [d for d in faulty.dates("cmrTrig") if d not in grid]
     assert len(off_grid) > len(faulty.dates("cmrTrig")) // 4
@@ -234,7 +233,7 @@ def test_periodic_fault_displaces_triggers(trace):
 
 
 def test_exec_fault_stretches_one_stage(trace):
-    faulty = simulate_faulty(PARAMS, FaultSpec("exec-R6", 1.0))
+    faulty = simulate(PARAMS, FaultSpec("exec-R6", 1.0))
     gaps = [b - a for a, b in pairs(faulty, "cmrTrig", "cmrOut")]
     assert all(31 <= g <= 45 for g in gaps)
     # downstream stage latencies keep their own windows
@@ -345,7 +344,7 @@ def test_every_clock_is_strictly_increasing_inside_the_run(fault):
     for seed in range(5):
         for steps in (0, 1, 57, 999):
             params = AVParams(seed=seed, steps=steps)
-            t = simulate(params) if fault is None else simulate_faulty(params, fault)
+            t = simulate(params, fault)
             for clock in ALPHABET:
                 d = t.dates(clock)
                 assert all(map(lt, d, d[1:])), (seed, steps, clock)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import csv_text
 from prccsl import (
     AVParams,
     FaultSpec,
@@ -19,8 +20,6 @@ from prccsl import (
     TraceFormatError,
     read_trace,
     simulate,
-    simulate_faulty,
-    trace_to_string,
     write_trace,
 )
 from prccsl import traceio
@@ -35,7 +34,7 @@ CANONICAL = "step,ms,a,b\n0,1,1,0\n1,1,0,0\n2,1,1,1\n"
 
 
 def test_write_canonical_bytes():
-    assert trace_to_string(sample_trace()) == CANONICAL
+    assert csv_text(sample_trace()) == CANONICAL
 
 
 def test_write_read_identity(tmp_path):
@@ -43,8 +42,8 @@ def test_write_read_identity(tmp_path):
     params = AVParams(seed=3, steps=5000)
     for original in (
         sample_trace(),
-        simulate_faulty(params, FaultSpec("exec-R7", 0.2)),
-        simulate_faulty(params, FaultSpec("periodic-R1", 1.0)),
+        simulate(params, FaultSpec("exec-R7", 0.2)),
+        simulate(params, FaultSpec("periodic-R1", 1.0)),
     ):
         write_trace(original, path)
         back = read_trace(path)
@@ -55,12 +54,12 @@ def test_write_read_identity(tmp_path):
 
 def test_read_write_byte_identity():
     back = read_trace(io.StringIO(CANONICAL))
-    assert trace_to_string(back) == CANONICAL
+    assert csv_text(back) == CANONICAL
 
 
 def test_empty_trace_round_trip():
     t = Trace(["x"])
-    text = trace_to_string(t)
+    text = csv_text(t)
     assert text == "step,x\n"
     back = read_trace(io.StringIO(text))
     assert len(back) == 0 and back.clocks == ("x",)
@@ -130,24 +129,24 @@ def test_a_field_has_no_length_limit():
 
 def test_one_quoted_cell_sends_only_its_segment_to_the_line_check(tmp_path):
     # the segments after it are read in bulk again, to the same trace
-    text = trace_to_string(block_trace(3 * _BLOCK_ROWS))
+    text = csv_text(block_trace(3 * _BLOCK_ROWS))
     quoted = quote_cell(text, 2)
     assert quoted.count('"') == 2
     for source in sources(tmp_path, quoted):
         with line_check_spy() as spy:
             back = read_trace(source)
         assert spy.call_count == 1 and spy.call_args.args[1] == 0
-        assert trace_to_string(back) == text
+        assert csv_text(back) == text
 
 
 def test_crlf_input_accepted(tmp_path):
     path = tmp_path / "t.csv"
-    for text in ("step,a\r\n0,1\r\n", "\ufeffstep,a\n0,1\n"):
+    for text in ("step,a\r\n0,1\r\n", "\ufeffstep,a\n0,1\n", '\ufeff"step","a"\n"0","1"\n'):
         path.write_bytes(text.encode("utf-8"))
         for source in (io.StringIO(text), path):
             back = read_trace(source)
             assert list(back.dates("a")) == [0]
-            assert trace_to_string(back) == "step,a\n0,1\n"
+            assert csv_text(back) == "step,a\n0,1\n"
 
 
 def block_trace(steps: int) -> Trace:
@@ -162,14 +161,14 @@ def block_trace(steps: int) -> Trace:
 )
 def test_round_trip_at_block_boundaries(tmp_path, steps):
     original = block_trace(steps)
-    text = trace_to_string(original)
+    text = csv_text(original)
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8")
     for source in (path, io.StringIO(text)):
         back = read_trace(source)
         assert len(back) == steps
         assert [back.dates(c) for c in back.clocks] == [original.dates(c) for c in original.clocks]
-        assert trace_to_string(back) == text
+        assert csv_text(back) == text
 
 
 def edit_line(text: str, line: int, new: str) -> str:
@@ -204,7 +203,7 @@ def line_check_spy():
 )
 def test_errors_in_second_block_carry_absolute_line(row, fragment):
     line = _BLOCK_ROWS + 5
-    text = edit_line(trace_to_string(block_trace(2 * _BLOCK_ROWS)), line, row.format(s=line - 2))
+    text = edit_line(csv_text(block_trace(2 * _BLOCK_ROWS)), line, row.format(s=line - 2))
     with pytest.raises(TraceFormatError) as err:
         read_trace(io.StringIO(text))
     assert err.value.line == line
@@ -222,7 +221,7 @@ def test_errors_in_second_block_carry_absolute_line(row, fragment):
 )
 def test_errors_after_a_power_of_ten_carry_absolute_line(tmp_path, first, row, fragment):
     line = first + 2  # the header, then step 0 on line 2
-    text = edit_line(trace_to_string(block_trace(2 * first)), line, row.format(s=first))
+    text = edit_line(csv_text(block_trace(2 * first)), line, row.format(s=first))
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8")
     for source in (path, io.StringIO(text)):
@@ -236,16 +235,16 @@ def test_errors_after_a_power_of_ten_carry_absolute_line(tmp_path, first, row, f
 def test_canonical_text_never_reaches_the_row_parser(tmp_path, ends):
     # every line end is read as "\n" before rows are compared, so CRLF,
     # lone-CR and mixed copies of a canonical file are canonical too
-    text = trace_to_string(block_trace(10001))
+    text = csv_text(block_trace(10001))
     copy = {"lf": text, "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"), "mixed": mixed_ends(text)}[ends]
     path = tmp_path / "t.csv"
     path.write_bytes(copy.encode("ascii"))
     with mock.patch.object(traceio, "_canonical_segment", side_effect=AssertionError("line check reached")):
         for rows in (3, 1000, _BLOCK_ROWS):
             with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
-                assert trace_to_string(read_trace(path)) == text
-                assert trace_to_string(read_trace(io.StringIO(copy))) == text
-                assert trace_to_string(read_trace(io.StringIO(copy, newline=""))) == text
+                assert csv_text(read_trace(path)) == text
+                assert csv_text(read_trace(io.StringIO(copy))) == text
+                assert csv_text(read_trace(io.StringIO(copy, newline=""))) == text
 
 
 def test_invalid_utf8_reports_its_line(tmp_path):
@@ -258,7 +257,7 @@ def test_invalid_utf8_reports_its_line(tmp_path):
 
 
 def test_quoting_crlf_and_missing_final_newline_in_second_block():
-    canonical = trace_to_string(block_trace(_BLOCK_ROWS + 20))
+    canonical = csv_text(block_trace(_BLOCK_ROWS + 20))
     line = _BLOCK_ROWS + 5
     row = canonical.split("\n")[line - 1]
     quoted = edit_line(canonical, line, row.replace(",1", ',"1"', 1))  # ms ticks on every step
@@ -266,11 +265,11 @@ def test_quoting_crlf_and_missing_final_newline_in_second_block():
     assert '"1"' in quoted and "\r" in crlf
     for text in (quoted, crlf, canonical.removesuffix("\n")):
         back = read_trace(io.StringIO(text))
-        assert trace_to_string(back) == canonical
+        assert csv_text(back) == canonical
 
 
 def test_extra_character_on_last_row_without_newline():
-    text = trace_to_string(block_trace(_BLOCK_ROWS + 3)).removesuffix("\n") + "x"
+    text = csv_text(block_trace(_BLOCK_ROWS + 3)).removesuffix("\n") + "x"
     with pytest.raises(TraceFormatError) as err:
         read_trace(io.StringIO(text))
     assert err.value.line == _BLOCK_ROWS + 4
@@ -311,7 +310,7 @@ def writer_traces(draw, sizes):
 def test_writer_matches_naive_rendering(tmp_path, sizes, data):
     trace = data.draw(writer_traces(sizes))
     expected = naive_csv(trace)
-    assert trace_to_string(trace) == expected
+    assert csv_text(trace) == expected
     path = tmp_path / "t.csv"
     write_trace(trace, path)
     assert path.read_bytes() == expected.encode("ascii")
@@ -322,12 +321,12 @@ def reference_read(text: str):
     error, from one pass over lines split with a regular expression at
     "\r\n", "\r" or "\n", each field ``"value"`` read as ``value`` where
     the value holds no quote; shares no code with ``read_trace``."""
-    lines = re.split(r"\r\n|\r|\n", text)
+    lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
     if len(lines) > 1 and not lines[-1]:  # the last line's end
         lines.pop()
     rows = [[re.sub(r'\A"([^"]*)"\Z', r"\1", field) for field in line.split(",")] for line in lines]
     header = rows[0]
-    if header[0].removeprefix("\ufeff") != "step":
+    if header[0] != "step":
         return 1
     clocks = header[1:]
     valid = all(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) for name in clocks)
@@ -348,7 +347,7 @@ def edited_csvs(draw):
     steps = draw(st.integers(0, 130))
     clocks = ["ms", "a", "b"][: draw(st.integers(0, 3))]
     dates = {name: draw(st.lists(st.integers(0, max(steps - 1, 0)), max_size=steps)) for name in clocks}
-    text = trace_to_string(Trace.from_dates(clocks, steps, dates))
+    text = csv_text(Trace.from_dates(clocks, steps, dates))
     for _ in range(draw(st.integers(0, 2))):
         edit = draw(st.sampled_from(
             ["replace", "insert", "delete", "truncate", "crlf", "cr", "mixed", "quote", "quote-all", "no-final-end"]
@@ -419,7 +418,7 @@ def outcomes_of(tmp_path, text, clocks=None):
 
 @pytest.mark.parametrize("rows", [3, 1000, _BLOCK_ROWS])
 def test_projection_equals_the_full_read_restricted(tmp_path, rows):
-    text = trace_to_string(block_trace(10001))
+    text = csv_text(block_trace(10001))
     with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
         full = outcomes_of(tmp_path, text)
         for clocks in ([], ["ms"], ["b", "a"], ["a", "zz"], ["zz"], ["ms", "a", "b"]):
@@ -438,7 +437,7 @@ def test_dense_columns_share_the_segment_step_ints():
     # tells); ms ticks on every row, so it holds no ints at all
     steps = 3000
     dates = {"ms": range(steps), "a": range(0, steps, 2), "b": range(0, steps, 3)}
-    text = trace_to_string(Trace.from_dates(list(dates), steps, dates))
+    text = csv_text(Trace.from_dates(list(dates), steps, dates))
     back = read_trace(io.StringIO(text))
     a = {date: date for date in back.dates("a")}
     shared = [date for date in back.dates("b") if date in a]
@@ -465,7 +464,7 @@ def test_an_every_row_column_reads_as_a_range(tmp_path, clocks, edit, at, rows):
     # in bulk and after the line check, which a quoted cell's segment takes
     # and CRLF rows do not; a and b stay lists
     steps = 1001
-    text = trace_to_string(block_trace(steps))
+    text = csv_text(block_trace(steps))
     if edit == "crlf":
         lines = text.split("\n")
         text = "\n".join(lines[: at - 1] + [line + "\r" for line in lines[at - 1:-1]] + [""])
@@ -488,7 +487,7 @@ def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, edit, rows
     # the first row, in the first segment, in a middle one or the last;
     # a quoted cell on the first row sends the first segment to the line check
     steps = 1001
-    text = trace_to_string(block_trace(steps))
+    text = csv_text(block_trace(steps))
     line = silent + 1
     index, _, rest = text.split("\n")[line - 1].split(",", 2)
     text = edit_line(text, line, f"{index},0,{rest}")
@@ -518,7 +517,7 @@ def test_a_column_silent_on_one_row_reads_as_a_list(tmp_path, silent, edit, rows
 )
 def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, earlier_edit, rows):
     line = 2 * _BLOCK_ROWS + 5
-    text = edit_line(trace_to_string(block_trace(3 * _BLOCK_ROWS)), line, row.format(s=line - 2))
+    text = edit_line(csv_text(block_trace(3 * _BLOCK_ROWS)), line, row.format(s=line - 2))
     earlier = line - _BLOCK_ROWS
     if earlier_edit == "crlf":  # a CRLF row a segment earlier is read as the LF row it equals
         text = edit_line(text, earlier, text.split("\n")[earlier - 1] + "\r")
@@ -539,7 +538,7 @@ def test_errors_in_dropped_columns_match_the_full_read(tmp_path, row, fragment, 
 def test_later_segment_of_a_path_reads_as_a_stream(tmp_path, rows):
     # past the buffer's first chunk, a segment that is not canonical is
     # read and checked as it is from a stream
-    canonical = trace_to_string(block_trace(3 * _BLOCK_ROWS))
+    canonical = csv_text(block_trace(3 * _BLOCK_ROWS))
     line = 2 * _BLOCK_ROWS + 5
     row = canonical.split("\n")[line - 1]
     quoted = edit_line(canonical, line, row.replace(",1", ',"1"', 1))
@@ -561,7 +560,7 @@ def test_later_segment_of_a_path_reads_as_a_stream(tmp_path, rows):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_unseekable_path_is_read_as_a_stream(tmp_path):
-    text = trace_to_string(block_trace(_BLOCK_ROWS + 20))  # more than a pipe holds
+    text = csv_text(block_trace(_BLOCK_ROWS + 20))  # more than a pipe holds
     fifo = tmp_path / "t.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
@@ -569,7 +568,7 @@ def test_unseekable_path_is_read_as_a_stream(tmp_path):
     back = read_trace(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    assert trace_to_string(back) == text
+    assert csv_text(back) == text
 
 
 @settings(max_examples=200, deadline=None)
@@ -622,7 +621,7 @@ def test_every_row_clock_stays_a_range_through_the_row_parser(tmp_path, edit):
     # must not become a list of every step on either way
     steps = 100_000
     original = Trace.from_dates(["ms", "a"], steps, {"ms": range(steps), "a": range(0, steps, 97)})
-    text = trace_to_string(original)
+    text = csv_text(original)
     path = tmp_path / "t.csv"
     path.write_bytes((text.replace("\n", "\r\n") if edit == "crlf" else quote_cell(text, 2)).encode("ascii"))
     for clocks in ({"ms"}, None):
@@ -650,9 +649,9 @@ def test_the_row_parser_holds_a_segment_once(tmp_path):
     names = [f"c{i}" for i in range(40)]
     wide = Trace.from_dates(names, 10_000, {name: range(i, 10_000, 50 + i) for i, name in enumerate(names)})
     for trace, text, bound in (
-        (original, trace_to_string(original).replace("\n", "\r\n"), 0.65),
-        (original, quote_cell(trace_to_string(original), 2), 0.65),
-        (wide, quote_cell(trace_to_string(wide), 5001), 4),  # from the segment of steps 1000 to 9191 on
+        (original, csv_text(original).replace("\n", "\r\n"), 0.65),
+        (original, quote_cell(csv_text(original), 2), 0.65),
+        (wide, quote_cell(csv_text(wide), 5001), 4),  # from the segment of steps 1000 to 9191 on
     ):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("ascii"))
@@ -674,7 +673,7 @@ def test_cr_lines_on_a_stream_that_splits_at_lf_are_read_in_chunks():
     # read a chunk at a time, as CRLF lines are, not the rest of the stream
     # at once (on the 60k-step trace that took the peak from 4.9 to 54.0
     # and 24.6 MiB)
-    text = trace_to_string(simulate(AVParams(seed=11, steps=10_000)))
+    text = csv_text(simulate(AVParams(seed=11, steps=10_000)))
     header, body = text.split("\n", 1)
     variants = (text.replace("\n", "\r\n"), text.replace("\n", "\r"), header + "\n" + body.replace("\n", "\r"))
     peaks, reads = [], []
@@ -736,10 +735,10 @@ def test_a_stream_of_short_reads_reads_as_the_path_does(text, most):
 
 
 def test_short_reads_still_fill_canonical_segments():
-    text = trace_to_string(block_trace(1001))
+    text = csv_text(block_trace(1001))
     with mock.patch.object(traceio, "_canonical_segment", side_effect=AssertionError("line check reached")):
         for most in (1, 7):
-            assert trace_to_string(read_trace(short_reads(text, most))) == text
+            assert csv_text(read_trace(short_reads(text, most))) == text
 
 
 @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS])
@@ -770,7 +769,7 @@ def test_the_first_bad_line_in_file_order_is_reported(tmp_path, rows, third, fif
     [
         ("step,ms,a\n0,1,0\n1,1,\ud800\n", 3),  # in a cell of a column the projection drops
         ("step,ms,a\udcff\n0,1,0\n", 1),  # in the header
-        (trace_to_string(block_trace(_BLOCK_ROWS + 1000)).replace("\n9000,", "\n9000,\udfff", 1), 9002),
+        (csv_text(block_trace(_BLOCK_ROWS + 1000)).replace("\n9000,", "\n9000,\udfff", 1), 9002),
     ],
     ids=["cell", "header", "later-segment"],
 )
